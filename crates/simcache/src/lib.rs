@@ -12,10 +12,12 @@
 //! * [`Hierarchy`] — an inclusive two-level (L1 + L2) stack.
 //! * [`trace`] — address-stream generators mirroring the kernels in
 //!   `sparse` and `tensor`.
+//! * [`replay_rows_lru`] — the exact-LRU model the row caches' counters
+//!   are checked against.
 //!
 //! **Place in the workspace:** a leaf analysis crate over `sparse` (whose
-//! matrices drive the traces); only the bench harness (`table7`) depends on
-//! it.
+//! matrices drive the traces); the bench harness (`table7`) and the row
+//! cache checks in the CLI and tests depend on it.
 //!
 //! # Examples
 //!
@@ -179,18 +181,6 @@ impl Cache {
         }
     }
 
-    /// Whether the line holding `addr` is currently resident.
-    ///
-    /// Unlike [`Cache::access`] this neither updates LRU order nor counts
-    /// toward [`CacheStats`] — it is the probe replay-based validators use
-    /// to model side channels (e.g. a pager's prefetch staging decisions)
-    /// without perturbing the simulated reference stream.
-    pub fn contains(&self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        self.sets[set_idx].contains(&line)
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -200,6 +190,29 @@ impl Cache {
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
+}
+
+/// Replays a row-access trace through a fully-associative LRU of
+/// `capacity` lines, one line per row: the model an exact-LRU row cache
+/// with a `capacity`-row budget must match hit for hit. The training
+/// pager's and the serving row cache's counters are validated against it.
+///
+/// # Examples
+///
+/// ```
+/// let stats = simcache::replay_rows_lru(&[1, 2, 1, 3, 2], 2);
+/// assert_eq!((stats.hits, stats.misses), (1, 4));
+/// ```
+pub fn replay_rows_lru(rows: &[u32], capacity: usize) -> CacheStats {
+    let mut sim = Cache::new(CacheConfig {
+        size_bytes: capacity * 64,
+        line_bytes: 64,
+        ways: capacity,
+    });
+    for &row in rows {
+        sim.access(u64::from(row) * 64);
+    }
+    sim.stats()
 }
 
 /// A two-level cache hierarchy: L1 misses fall through to L2.
@@ -302,23 +315,6 @@ mod tests {
         assert_eq!(c.stats().accesses(), 4);
         c.access_range(63, 2); // straddles a boundary -> 2 lines
         assert_eq!(c.stats().accesses(), 6);
-    }
-
-    #[test]
-    fn contains_probes_without_counting_or_reordering() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(256); // same set as 0 (stride = sets * line = 256)
-        assert!(c.contains(0));
-        assert!(c.contains(300)); // same line as 256
-        assert!(!c.contains(512));
-        let before = c.stats();
-        // Probing 0 must not refresh its LRU position: 512 still evicts it.
-        assert!(c.contains(0));
-        assert_eq!(c.stats(), before);
-        c.access(512);
-        assert!(!c.contains(0));
-        assert!(c.contains(256));
     }
 
     #[test]

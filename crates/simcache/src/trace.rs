@@ -42,7 +42,7 @@ pub fn replay_scatter(h: &mut Hierarchy, indices: &[u32], dim: usize) {
     for (k, &idx) in indices.iter().enumerate() {
         h.access_range(OUT_BASE + k as u64 * row, row);
         // RMW of the destination row (read-for-ownership counted once per
-        // line, as a hardware prefetch-free LLC would see it).
+        // line, as an LLC without hardware stream detection would see it).
         h.access_range(grad_base + u64::from(idx) * row, row);
     }
 }

@@ -36,12 +36,13 @@
 
 use std::time::{Duration, Instant};
 
-use kg::{BatchPlan, Dataset, UniformSampler};
+use kg::{BatchPlan, Dataset};
 use tensor::optim::{Optimizer, Sgd};
 use tensor::{Graph, ParamId, Tensor};
 use xparallel::{scope_workers, PoolHandle};
 
 use crate::model::{KgeModel, OptimizerKind, TrainConfig};
+use crate::train::build_plan;
 use crate::Result;
 
 /// Report from a data-parallel run.
@@ -125,15 +126,7 @@ where
 {
     config.validate()?;
     let workers = workers.max(1);
-    let known = dataset.all_known();
-    let sampler = UniformSampler::new(dataset.num_entities.max(2));
-    let plan = BatchPlan::build(
-        &dataset.train,
-        &known,
-        &sampler,
-        config.batch_size,
-        config.seed,
-    );
+    let plan = build_plan(dataset, config);
     if plan.num_batches() == 0 {
         return Err(crate::Error::config(
             "batch plan has no batches (empty training set?); refusing to report 0-batch epochs as loss 0",
@@ -547,15 +540,7 @@ where
         ));
     }
     let workers = workers.max(1);
-    let known = dataset.all_known();
-    let sampler = UniformSampler::new(dataset.num_entities.max(2));
-    let plan = BatchPlan::build(
-        &dataset.train,
-        &known,
-        &sampler,
-        config.batch_size,
-        config.seed,
-    );
+    let plan = build_plan(dataset, config);
     if plan.num_batches() == 0 {
         return Err(crate::Error::config(
             "batch plan has no batches (empty training set?); refusing to report 0-batch epochs as loss 0",

@@ -61,6 +61,27 @@ pub struct TrainReport {
     pub spmm_calls: u64,
 }
 
+/// Builds the batch plan every training driver runs: `dataset.train`
+/// batched by `config.batch_size`, with negatives pre-generated (§5.3) by
+/// the sampler `config.sampler` names and seeded by `config.seed`.
+pub(crate) fn build_plan(dataset: &Dataset, config: &TrainConfig) -> BatchPlan {
+    let known = dataset.all_known();
+    let entities = dataset.num_entities.max(2);
+    let build = |sampler: &dyn kg::NegativeSampler| {
+        BatchPlan::build(
+            &dataset.train,
+            &known,
+            sampler,
+            config.batch_size,
+            config.seed,
+        )
+    };
+    match config.sampler {
+        SamplerKind::Uniform => build(&UniformSampler::new(entities)),
+        SamplerKind::Bernoulli => build(&BernoulliSampler::fit(&dataset.train, entities)),
+    }
+}
+
 /// Drives a [`KgeModel`] over a [`BatchPlan`] with margin-ranking loss and
 /// the configured optimizer ([`crate::OptimizerKind`], default SGD),
 /// recording the paper's metrics.
@@ -110,30 +131,7 @@ impl<M: KgeModel> Trainer<M> {
     /// Returns configuration or index errors from plan construction.
     pub fn new(model: M, dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
         config.validate()?;
-        let known = dataset.all_known();
-        let plan = match config.sampler {
-            SamplerKind::Uniform => {
-                let sampler = UniformSampler::new(dataset.num_entities.max(2));
-                BatchPlan::build(
-                    &dataset.train,
-                    &known,
-                    &sampler,
-                    config.batch_size,
-                    config.seed,
-                )
-            }
-            SamplerKind::Bernoulli => {
-                let sampler = BernoulliSampler::fit(&dataset.train, dataset.num_entities.max(2));
-                BatchPlan::build(
-                    &dataset.train,
-                    &known,
-                    &sampler,
-                    config.batch_size,
-                    config.seed,
-                )
-            }
-        };
-        Self::with_plan(model, plan, config)
+        Self::with_plan(model, build_plan(dataset, config), config)
     }
 
     /// Like [`Trainer::new`] but with a caller-provided plan (used by the
@@ -337,19 +335,6 @@ mod tests {
             lr: 0.05,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn transe_loss_decreases() {
-        let ds = dataset();
-        let cfg = fast_config();
-        let mut t = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-        let report = t.run().unwrap();
-        assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
-        assert!(report.flops > 0);
-        assert!(report.spmm_calls > 0);
-        assert!(report.peak_memory_bytes > 0);
-        assert!(report.breakdown.total() <= report.wall + Duration::from_millis(50));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use kg::eval::{EvalConfig, SampleStrategy};
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::distributed::train_hogwild_returning;
-use sptransx::{KgeModel, SpRotatE, SpTransE, TrainConfig, Trainer};
+use sptransx::{KgeModel, SamplerKind, SpRotatE, SpTransE, TrainConfig, Trainer};
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(60, 4).triples(600).seed(40).build()
@@ -66,27 +66,34 @@ fn assert_bitwise_equal(a: &(Vec<f32>, Vec<Vec<f32>>), b: &(Vec<f32>, Vec<Vec<f3
 }
 
 /// Degenerate determinism: at `workers == 1` the async driver is the
-/// synchronous `Trainer` — same plan, same step sequence, inline execution —
-/// so its report and final embeddings must match bit-for-bit.
+/// synchronous `Trainer` — same plan (built from `config.sampler`), same
+/// step sequence, inline execution — so its report and final embeddings
+/// must match bit-for-bit under either sampler.
 #[test]
 fn single_worker_is_bit_identical_to_synchronous_trainer() {
     let ds = dataset();
-    let cfg = config();
+    for sampler in [SamplerKind::Uniform, SamplerKind::Bernoulli] {
+        let cfg = TrainConfig {
+            sampler,
+            ..config()
+        };
 
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let sync_report = trainer.run().unwrap();
-    let sync_model = trainer.into_model();
+        let mut trainer =
+            Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let sync_report = trainer.run().unwrap();
+        let sync_model = trainer.into_model();
 
-    let (async_report, async_model) =
-        train_hogwild_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
+        let (async_report, async_model) =
+            train_hogwild_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
 
-    assert_eq!(async_report.workers, 1);
-    assert_eq!(async_report.steps, sync_report.epoch_losses.len() * 9);
-    assert_bitwise_equal(
-        &snapshot(&sync_report.epoch_losses, &sync_model),
-        &snapshot(&async_report.epoch_losses, &async_model),
-        "SpTransE sync vs async(1)",
-    );
+        assert_eq!(async_report.workers, 1);
+        assert_eq!(async_report.steps, sync_report.epoch_losses.len() * 9);
+        assert_bitwise_equal(
+            &snapshot(&sync_report.epoch_losses, &sync_model),
+            &snapshot(&async_report.epoch_losses, &async_model),
+            &format!("SpTransE sync vs async(1), {sampler:?} sampler"),
+        );
+    }
 }
 
 /// Same degeneracy for a model with a nontrivial epoch hook (SpRotatE

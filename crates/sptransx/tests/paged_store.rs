@@ -9,15 +9,16 @@
 //!    in-RAM and file-backed [`tensor::RowStorage`] backends.
 //! 2. **Counter validation** — the pager's hit/miss counters are replayed
 //!    through an independent `simcache` fully-associative LRU model over the
-//!    same row trace and must match *exactly* (the PR-6 query-cache idiom).
+//!    same row trace ([`simcache::replay_rows_lru`]) and must match
+//!    *exactly*.
 //! 3. **Failure modes** — budgets below the working set, incompatible
 //!    optimizers, and the data-parallel driver all refuse loudly instead of
 //!    silently corrupting state.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{FileRowStorage, KgeModel, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer};
-use tensor::{PageStats, PrefetchStats, RowStorage, VecStorage};
+use sptransx::{FileRowStorage, KgeModel, OptimizerKind, SpTransE, TrainConfig, Trainer};
+use tensor::{PageStats, RowStorage, VecStorage};
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(200, 4)
@@ -101,129 +102,6 @@ fn assert_bits_equal(a: &[f32], b: &[f32], what: &str) {
     }
 }
 
-/// Replays the pager's row trace through simcache configured as a
-/// fully-associative LRU of `budget` lines (one synthetic 64-byte line per
-/// row), the same cross-validation idiom the serving layer uses for its
-/// query cache.
-fn simcache_replay(trace: &[u32], budget: usize) -> simcache::CacheStats {
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: budget * 64,
-        line_bytes: 64,
-        ways: budget,
-    });
-    for &row in trace {
-        sim.access(u64::from(row) * 64);
-    }
-    sim.stats()
-}
-
-/// Everything a traced prefetch run leaves behind, alongside the [`Run`].
-struct PagedTrace {
-    stats: PageStats,
-    pstats: PrefetchStats,
-    trace: Vec<u32>,
-    call_lens: Vec<u32>,
-    prefetch_events: Vec<(u32, Vec<u32>)>,
-}
-
-/// Generic paged training run over any model family with an `embeddings`
-/// table, optionally with the background prefetch pipeline enabled.
-fn train_paged_model<M: KgeModel>(
-    ds: &Dataset,
-    cfg: &TrainConfig,
-    storage: Box<dyn RowStorage>,
-    budget: usize,
-    prefetch: bool,
-    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
-) -> sptransx::Result<(Run, PagedTrace)> {
-    let model = ctor(ds, cfg)?;
-    let emb = model
-        .store()
-        .lookup("embeddings")
-        .expect("embeddings table");
-    let mut trainer = Trainer::new(model, ds, cfg)?;
-    let store = trainer.model_mut().store_mut();
-    store.page_out(emb, storage, budget)?;
-    store.pager_mut(emb).unwrap().set_tracing(true);
-    if prefetch {
-        trainer.model_mut().set_prefetch(true)?;
-    }
-    let report = trainer.run()?;
-    let store = trainer.model_mut().store_mut();
-    let pager = store.pager(emb).unwrap();
-    let paged_trace = PagedTrace {
-        stats: pager.stats(),
-        pstats: pager.prefetch_stats(),
-        trace: pager.trace().unwrap().to_vec(),
-        call_lens: pager.trace_call_lens().to_vec(),
-        prefetch_events: pager.trace_prefetch_events().to_vec(),
-    };
-    store.unpage(emb)?;
-    let model = trainer.into_model();
-    Ok((
-        Run {
-            embeddings: model.store().value(emb).as_slice().to_vec(),
-            losses: report.epoch_losses,
-        },
-        paged_trace,
-    ))
-}
-
-/// The extended simcache replay: re-derives the pager's prefetch staging
-/// decisions from the recorded request log and the simulated residency
-/// alone (via the non-mutating `contains` probe), mirroring the CLI's
-/// validation. Returns the cache stats plus
-/// `(staged, admitted, demand_loads, wasted)`.
-fn simcache_prefetch_replay(
-    t: &PagedTrace,
-    budget: usize,
-) -> (simcache::CacheStats, PrefetchStats) {
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: budget * 64,
-        line_bytes: 64,
-        ways: budget,
-    });
-    let mut out = PrefetchStats::default();
-    let mut staged: Vec<u32> = Vec::new();
-    let mut used: Vec<bool> = Vec::new();
-    let mut events = t.prefetch_events.iter().peekable();
-    let mut pos = 0usize;
-    for (call, &len) in t.call_lens.iter().enumerate() {
-        while let Some((at_call, requested)) = events.peek() {
-            if *at_call as usize != call {
-                break;
-            }
-            staged.clear();
-            staged.extend(
-                requested
-                    .iter()
-                    .copied()
-                    .filter(|&r| !sim.contains(u64::from(r) * 64)),
-            );
-            used.clear();
-            used.resize(staged.len(), false);
-            out.staged += staged.len() as u64;
-            events.next();
-        }
-        for &row in &t.trace[pos..pos + len as usize] {
-            if sim.access(u64::from(row) * 64) == simcache::Access::Miss {
-                match staged.binary_search(&row) {
-                    Ok(i) => {
-                        out.admitted += 1;
-                        used[i] = true;
-                    }
-                    Err(_) => out.demand_loads += 1,
-                }
-            }
-        }
-        pos += len as usize;
-        out.wasted += used.iter().filter(|&&u| !u).count() as u64;
-        staged.clear();
-        used.clear();
-    }
-    (sim.stats(), out)
-}
-
 #[test]
 fn paged_training_is_bit_identical_to_resident_vec_backend() {
     let ds = dataset();
@@ -264,7 +142,7 @@ fn pager_counters_match_simcache_lru_replay_exactly() {
         trace.len() as u64,
         "every traced access is a hit or a miss"
     );
-    let sim = simcache_replay(&trace, BUDGET);
+    let sim = simcache::replay_rows_lru(&trace, BUDGET);
     assert_eq!(
         stats.hits, sim.hits,
         "hit counts diverge from the LRU model"
@@ -289,7 +167,7 @@ fn counters_match_model_at_full_table_budget_too() {
     let ds = dataset();
     let cfg = config();
     let (_, stats, trace) = train_paged(&ds, &cfg, Box::new(VecStorage::new(204, cfg.dim)), 204);
-    let sim = simcache_replay(&trace, 204);
+    let sim = simcache::replay_rows_lru(&trace, 204);
     assert_eq!((stats.hits, stats.misses), (sim.hits, sim.misses));
     assert_eq!(stats.evictions, 0);
     assert!(stats.misses <= 204, "at most one compulsory miss per row");
@@ -463,209 +341,4 @@ fn file_backend_coalesces_io_transfers_below_per_row_counts() {
     reopened.read_rows_into(0, rows, &mut from_disk).unwrap();
     assert_bits_equal(&from_disk, &final_emb, "flushed file vs final table");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn prefetch_is_bit_identical_across_paged_model_families() {
-    // `--prefetch true` ≡ `--prefetch false` ≡ resident, for both paged
-    // model families, over both storage backends. The whole suite reruns
-    // under SPTX_NUM_THREADS ∈ {1, 4} in CI, covering the thread-count leg.
-    let ds = dataset();
-    let cfg = config();
-
-    // SpTransE, in-RAM backend.
-    let resident = train_resident(&ds, &cfg);
-    let (sync, sync_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        false,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    let (pf, pf_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    assert_eq!(pf.losses, sync.losses, "transe: losses diverged");
-    assert_bits_equal(&pf.embeddings, &sync.embeddings, "transe: prefetch vs sync");
-    assert_bits_equal(
-        &pf.embeddings,
-        &resident.embeddings,
-        "transe: prefetch vs resident",
-    );
-    // Staged bytes change where data comes from, never what the cache
-    // decides: the decision stream (and therefore PageStats) is identical.
-    assert_eq!(
-        pf_t.stats, sync_t.stats,
-        "transe: prefetch changed a paging decision"
-    );
-    assert_eq!(
-        pf_t.trace, sync_t.trace,
-        "transe: prefetch changed the access trace"
-    );
-    assert!(pf_t.pstats.admitted > 0, "prefetch never admitted a row");
-    assert!(
-        pf_t.stats.evictions > 0,
-        "budget too loose to prove anything"
-    );
-
-    // SpTransE, file backend (the worker really reads from disk).
-    let dir = std::env::temp_dir().join("sptx-prefetch-store-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("pf_{}.bin", std::process::id()));
-    let storage = FileRowStorage::create(&path, 204, cfg.dim).unwrap();
-    let (pf_file, pf_file_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(storage),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_bits_equal(
-        &pf_file.embeddings,
-        &resident.embeddings,
-        "transe/file: prefetch vs resident",
-    );
-    assert!(pf_file_t.pstats.admitted > 0);
-
-    // SpTorusE (the other paged family).
-    let torus_cfg = cfg.clone();
-    let torus_resident = {
-        let model = SpTorusE::from_config(&ds, &torus_cfg).unwrap();
-        let emb = model.embedding_param();
-        let mut trainer = Trainer::new(model, &ds, &torus_cfg).unwrap();
-        let report = trainer.run().unwrap();
-        let model = trainer.into_model();
-        Run {
-            embeddings: model.store().value(emb).as_slice().to_vec(),
-            losses: report.epoch_losses,
-        }
-    };
-    let (torus_pf, torus_t) = train_paged_model(
-        &ds,
-        &torus_cfg,
-        Box::new(VecStorage::new(204, torus_cfg.dim)),
-        BUDGET,
-        true,
-        SpTorusE::from_config,
-    )
-    .unwrap();
-    assert_eq!(
-        torus_pf.losses, torus_resident.losses,
-        "toruse: losses diverged"
-    );
-    assert_bits_equal(
-        &torus_pf.embeddings,
-        &torus_resident.embeddings,
-        "toruse: prefetch vs resident",
-    );
-    assert!(torus_t.pstats.admitted > 0);
-}
-
-#[test]
-fn prefetch_is_bit_identical_under_eviction_pressure() {
-    // Budget barely above the working set: admissions constantly trigger
-    // evictions of freshly staged-and-used rows, the hardest interleaving
-    // for the staging/write-back interaction.
-    let ds = dataset();
-    let cfg = config();
-    // Find the tightest budget that can pin every batch's working set (the
-    // pager hard-errors below it), then run both arms exactly there.
-    let mut budget = 40;
-    let sync = loop {
-        match train_paged_model(
-            &ds,
-            &cfg,
-            Box::new(VecStorage::new(204, cfg.dim)),
-            budget,
-            false,
-            SpTransE::from_config,
-        ) {
-            Ok(run) => break run,
-            Err(e) => {
-                assert!(
-                    e.to_string().contains("cache budget"),
-                    "unexpected failure at budget {budget}: {e}"
-                );
-                budget += 4;
-                assert!(budget <= 204, "never found a workable budget");
-            }
-        }
-    };
-    let (pf, pf_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        budget,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    assert_eq!(pf.losses, sync.0.losses, "pressure: losses diverged");
-    assert_bits_equal(
-        &pf.embeddings,
-        &sync.0.embeddings,
-        "pressure: prefetch vs sync",
-    );
-    assert_eq!(
-        pf_t.stats, sync.1.stats,
-        "pressure: decision streams diverged"
-    );
-    assert!(
-        budget < BUDGET && pf_t.stats.evictions > 0,
-        "budget {budget} not tight enough: {} evictions",
-        pf_t.stats.evictions,
-    );
-    assert!(pf_t.pstats.admitted > 0);
-}
-
-#[test]
-fn prefetch_counters_match_extended_simcache_replay_exactly() {
-    let ds = dataset();
-    let cfg = config();
-    let (_, t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    // Internal consistency first.
-    assert_eq!(
-        t.pstats.admitted + t.pstats.demand_loads,
-        t.stats.misses,
-        "every miss is either admitted from staging or demand-loaded"
-    );
-    assert_eq!(
-        t.pstats.admitted + t.pstats.wasted,
-        t.pstats.staged,
-        "every staged row is either consumed or wasted"
-    );
-    assert!(
-        !t.prefetch_events.is_empty(),
-        "no prefetch requests recorded"
-    );
-    // The independent model re-derives every counter from the request log.
-    let (sim_stats, sim_pstats) = simcache_prefetch_replay(&t, BUDGET);
-    assert_eq!(
-        (sim_stats.hits, sim_stats.misses),
-        (t.stats.hits, t.stats.misses),
-        "hit/miss replay diverged"
-    );
-    assert_eq!(
-        sim_pstats, t.pstats,
-        "prefetch counters diverged from the extended replay"
-    );
 }

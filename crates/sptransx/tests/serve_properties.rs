@@ -183,17 +183,10 @@ fn paged_ann_arm_matches_resident_arm_bitwise_with_validated_counters() {
     assert_eq!(stats.hits + stats.misses, trace.len() as u64);
     assert!(stats.evictions > 0, "a 60-row budget must evict");
     assert_eq!(stats.write_backs, 0, "read-only serving never writes back");
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: 60 * 64,
-        line_bytes: 64,
-        ways: 60,
-    });
-    for &row in trace {
-        sim.access(u64::from(row) * 64);
-    }
+    let sim = simcache::replay_rows_lru(trace, 60);
     assert_eq!(
         (stats.hits, stats.misses),
-        (sim.stats().hits, sim.stats().misses),
+        (sim.hits, sim.misses),
         "row-cache counters diverge from the simcache LRU model"
     );
 

@@ -12,7 +12,8 @@ use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, Triple, TripleSet, TripleStore, UniformSampler};
 use sptransx::distributed::{train_data_parallel, train_data_parallel_returning};
 use sptransx::{
-    KgeModel, SpComplEx, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer,
+    KgeModel, SamplerKind, SpComplEx, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransR,
+    TrainConfig, Trainer,
 };
 use xparallel::PoolHandle;
 
@@ -138,34 +139,45 @@ fn distributed_worker4_is_bit_identical_across_thread_limits() {
 /// A 1-worker data-parallel run degenerates to plain SGD — and because every
 /// kernel is width-invariant, it must match the `Trainer` bit-for-bit even
 /// though the two paths use different pool schedules (sequential tapes on
-/// pool tasks vs. pool-wide tapes on the caller thread).
+/// pool tasks vs. pool-wide tapes on the caller thread). Both drivers build
+/// their plan from `config.sampler`, so this holds under either sampler.
 #[test]
 fn distributed_worker1_matches_trainer_bitwise() {
     let ds = dataset();
-    let cfg = config();
-    let (dist_report, dist_model) =
-        train_data_parallel_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
+    for sampler in [SamplerKind::Uniform, SamplerKind::Bernoulli] {
+        let cfg = TrainConfig {
+            sampler,
+            ..config()
+        };
+        let (dist_report, dist_model) =
+            train_data_parallel_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
 
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let train_report = trainer.run().unwrap();
-    let trainer_model = trainer.into_model();
+        let mut trainer =
+            Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let train_report = trainer.run().unwrap();
+        let trainer_model = trainer.into_model();
 
-    for (i, (a, b)) in dist_report
-        .epoch_losses
-        .iter()
-        .zip(&train_report.epoch_losses)
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "epoch {i}: {a} vs {b}");
-    }
-    let da = dist_model.store().value(dist_model.embedding_param());
-    let db = trainer_model.store().value(trainer_model.embedding_param());
-    for (j, (a, b)) in da.as_slice().iter().zip(db.as_slice()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "embedding element {j}: {a} vs {b}"
-        );
+        for (i, (a, b)) in dist_report
+            .epoch_losses
+            .iter()
+            .zip(&train_report.epoch_losses)
+            .enumerate()
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{sampler:?} epoch {i}: {a} vs {b}"
+            );
+        }
+        let da = dist_model.store().value(dist_model.embedding_param());
+        let db = trainer_model.store().value(trainer_model.embedding_param());
+        for (j, (a, b)) in da.as_slice().iter().zip(db.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{sampler:?} embedding element {j}: {a} vs {b}"
+            );
+        }
     }
 }
 

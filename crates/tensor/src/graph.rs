@@ -2329,31 +2329,4 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
     }
-
-    #[test]
-    fn spmm_score_reports_fewer_bytes_than_materialized_pipeline() {
-        let data = Tensor::from_rows(&[
-            [0.3, -0.2, 1.1, 0.5],
-            [1.5, 0.7, -0.6, -0.1],
-            [-0.4, 0.9, 0.2, 0.3],
-            [0.1, 0.2, -1.3, 0.8],
-        ]);
-        let pair = Arc::new(IncidencePair::new(
-            hrt(3, 1, &[0, 1], &[0, 0], &[2, 0], TailSign::Negative).unwrap(),
-        ));
-        let forward_bytes = |fused: bool| {
-            let (store, p) = store_with("emb", data.clone());
-            let mut g = Graph::new();
-            g.set_fused(fused);
-            let before = sparse::metrics::snapshot();
-            let _ = g.spmm_score(&store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
-            (sparse::metrics::snapshot() - before).bytes_touched
-        };
-        let fused = forward_bytes(true);
-        let unfused = forward_bytes(false);
-        assert!(
-            fused < unfused,
-            "fused forward must move fewer bytes ({fused} vs {unfused})"
-        );
-    }
 }

@@ -110,40 +110,3 @@ impl MemoryScope {
         peak_bytes().saturating_sub(self.baseline)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Tensor;
-
-    #[test]
-    fn tracks_alloc_and_free() {
-        let before = current_bytes();
-        let t = Tensor::zeros(100, 10);
-        assert_eq!(current_bytes(), before + 100 * 10 * 4);
-        drop(t);
-        assert_eq!(current_bytes(), before);
-    }
-
-    #[test]
-    fn peak_survives_drop() {
-        reset_peak();
-        let base = current_bytes();
-        {
-            let _a = Tensor::zeros(50, 50);
-            let _b = Tensor::zeros(50, 50);
-        }
-        assert!(peak_bytes() >= base + 2 * 50 * 50 * 4);
-    }
-
-    #[test]
-    fn clone_registers_its_own_buffer() {
-        let before = current_bytes();
-        let a = Tensor::zeros(10, 10);
-        let b = a.clone();
-        assert_eq!(current_bytes(), before + 2 * 10 * 10 * 4);
-        drop(a);
-        drop(b);
-        assert_eq!(current_bytes(), before);
-    }
-}

@@ -1,6 +1,8 @@
 //! Integration tests of the paper's *qualitative claims* at test scale,
-//! using the deterministic instrumented metrics (FLOPs, peak memory, graph
-//! size, simulated cache misses) rather than flaky wall-clock assertions.
+//! using deterministic measures (loss trajectories, graph size, simulated
+//! cache misses) rather than flaky wall-clock assertions. The claims read
+//! from the process-global FLOP, SpMM-call and peak-memory counters live in
+//! `paper_claims_counters.rs`, away from concurrent siblings.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, UniformSampler};
@@ -25,75 +27,6 @@ fn config() -> TrainConfig {
         lr: 0.01,
         ..Default::default()
     }
-}
-
-fn reports<S: KgeModel, D: KgeModel>(
-    sparse: S,
-    dense: D,
-) -> (sptransx::TrainReport, sptransx::TrainReport) {
-    let ds = dataset();
-    let cfg = config();
-    let rs = Trainer::new(sparse, &ds, &cfg).unwrap().run().unwrap();
-    let rd = Trainer::new(dense, &ds, &cfg).unwrap().run().unwrap();
-    (rs, rd)
-}
-
-/// Table 6's claim: the sparse schedule executes fewer floating-point
-/// operations for every model.
-#[test]
-fn sparse_uses_fewer_flops_all_models() {
-    let ds = dataset();
-    let cfg = config();
-    macro_rules! pair {
-        ($sp:ident, $de:ident, $name:literal) => {{
-            let (rs, rd) = reports(
-                $sp::from_config(&ds, &cfg).unwrap(),
-                $de::from_config(&ds, &cfg).unwrap(),
-            );
-            assert!(
-                rs.flops < rd.flops,
-                "{}: sparse {} !< dense {}",
-                $name,
-                rs.flops,
-                rd.flops
-            );
-        }};
-    }
-    pair!(SpTransE, DenseTransE, "TransE");
-    pair!(SpTorusE, DenseTorusE, "TorusE");
-    pair!(SpTransR, DenseTransR, "TransR");
-    pair!(SpTransH, DenseTransH, "TransH");
-}
-
-/// Table 5's claim: the sparse schedule allocates less peak tensor memory.
-#[test]
-fn sparse_uses_less_peak_memory_all_models() {
-    let ds = dataset();
-    let cfg = config();
-    macro_rules! pair {
-        ($sp:ident, $de:ident, $name:literal) => {{
-            // Runs must be serialized: peak-memory tracking is global.
-            let rs = Trainer::new($sp::from_config(&ds, &cfg).unwrap(), &ds, &cfg)
-                .unwrap()
-                .run()
-                .unwrap();
-            let rd = Trainer::new($de::from_config(&ds, &cfg).unwrap(), &ds, &cfg)
-                .unwrap()
-                .run()
-                .unwrap();
-            assert!(
-                rs.peak_memory_bytes <= rd.peak_memory_bytes,
-                "{}: sparse {} !<= dense {}",
-                $name,
-                rs.peak_memory_bytes,
-                rd.peak_memory_bytes
-            );
-        }};
-    }
-    pair!(SpTransE, DenseTransE, "TransE");
-    pair!(SpTorusE, DenseTorusE, "TorusE");
-    pair!(SpTransR, DenseTransR, "TransR");
-    pair!(SpTransH, DenseTransH, "TransH");
 }
 
 /// §6.2.5's claim: the sparse formulation does not change the optimization —
@@ -181,18 +114,4 @@ fn sparse_graphs_are_smaller() {
     assert!(s < d, "TransH: sparse graph {s} !< dense graph {d}");
     let (s, d) = graph_sizes!(SpTransR, DenseTransR);
     assert!(s < d, "TransR: sparse graph {s} !< dense graph {d}");
-}
-
-/// The paper's Appendix G: backward-of-SpMM is transpose-SpMM, so the number
-/// of SpMM kernel calls in sparse TransE training is exactly
-/// `epochs × batches × 2 sides × 2 (fwd + bwd)`.
-#[test]
-fn spmm_call_count_matches_formula() {
-    let ds = dataset();
-    let cfg = config();
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let batches = trainer.num_batches();
-    let report = trainer.run().unwrap();
-    let expected = (cfg.epochs * batches * 4) as u64;
-    assert_eq!(report.spmm_calls, expected);
 }
