@@ -14,6 +14,12 @@
 //!   `ht`/`hrt` incidence row) take a branch-free fused path.
 //!
 //! FLOP counts (`2 · nnz · n`) are recorded in [`crate::metrics`].
+//!
+//! The training entry points ([`csr_spmm_into_with`],
+//! [`csr_spmm_acc_rows_into_with`]) take a [`RowLookup`] that places rows:
+//! [`Identity`] for a resident table, or a paged table's row↔slot map, so
+//! one kernel body serves both and the per-row arithmetic never depends on
+//! where a row lives.
 
 use crate::{metrics, CooMatrix, CsrMatrix, DenseMatrix, DenseView};
 
@@ -25,6 +31,47 @@ pub const COL_TILE: usize = 1024;
 
 /// Minimum rows per parallel chunk; below this the kernel runs sequentially.
 pub const MIN_ROWS_PER_CHUNK: usize = 16;
+
+/// Where a kernel finds row `i` of an operand: the row index itself
+/// ([`Identity`], a resident table) or `map[i]` (a `[u32]` map, e.g. a
+/// paged table's row → slot or slot → row translation).
+///
+/// A lookup only moves bytes: the kernels run the same arithmetic in the
+/// same order whichever lookup they get.
+pub trait RowLookup: Sync {
+    /// The row that index `i` maps to.
+    fn get(&self, i: usize) -> usize;
+
+    /// How many indices the lookup maps; `identity_len` for [`Identity`],
+    /// which maps any index.
+    fn len_or(&self, identity_len: usize) -> usize;
+}
+
+/// The identity [`RowLookup`]: index `i` is row `i`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Identity;
+
+impl RowLookup for Identity {
+    #[inline(always)]
+    fn get(&self, i: usize) -> usize {
+        i
+    }
+
+    fn len_or(&self, identity_len: usize) -> usize {
+        identity_len
+    }
+}
+
+impl RowLookup for [u32] {
+    #[inline(always)]
+    fn get(&self, i: usize) -> usize {
+        self[i] as usize
+    }
+
+    fn len_or(&self, _identity_len: usize) -> usize {
+        self.len()
+    }
+}
 
 /// Computes `C = A · B` where `A` is sparse CSR and `B` is dense row-major.
 ///
@@ -57,7 +104,7 @@ pub fn csr_spmm_with<'a>(
 ) -> DenseMatrix {
     let b = b.into();
     let mut out = DenseMatrix::zeros(a.rows(), b.cols());
-    csr_spmm_into_with(pool, a, b, out.as_mut_slice());
+    csr_spmm_into_with(pool, a, b, &Identity, out.as_mut_slice());
     out
 }
 
@@ -67,24 +114,32 @@ pub fn csr_spmm_with<'a>(
 ///
 /// Panics if `A.cols() != B.rows()` or `out.len() != A.rows() * B.cols()`.
 pub fn csr_spmm_into(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
-    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, out);
+    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, &Identity, out);
 }
 
 /// Like [`csr_spmm_into`] but dispatched on an explicit
-/// [`xparallel::PoolHandle`].
+/// [`xparallel::PoolHandle`], reading column `c` of `A` against row
+/// `b_row.get(c)` of `B`.
+///
+/// With [`Identity`] this is `C = A · B`. With a row → slot map, `B` is a
+/// slot cache holding only the rows `A` references (a paged table) and the
+/// result equals the product with the full table, bit for bit.
 ///
 /// # Panics
 ///
-/// Same conditions as [`csr_spmm_into`].
-pub fn csr_spmm_into_with(
+/// Panics if `A.cols()` differs from the lookup's length (`B.rows()` for
+/// [`Identity`]), if `out.len() != A.rows() * B.cols()`, or if the lookup
+/// sends a referenced column outside `B`.
+pub fn csr_spmm_into_with<L: RowLookup + ?Sized>(
     pool: &xparallel::PoolHandle,
     a: &CsrMatrix,
     b: DenseView<'_>,
+    b_row: &L,
     out: &mut [f32],
 ) {
     assert_eq!(
         a.cols(),
-        b.rows(),
+        b_row.len_or(b.rows()),
         "spmm shape mismatch: A is {}x{}, B is {}x{}",
         a.rows(),
         a.cols(),
@@ -120,37 +175,45 @@ pub fn csr_spmm_into_with(
             let i = first_row + local;
             let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
             let dst = &mut chunk[local * n..(local + 1) * n];
-            spmm_row(&indices[s..e], &values[s..e], bdata, n, dst);
+            spmm_row(&indices[s..e], &values[s..e], bdata, b_row, n, dst);
         }
     });
 }
 
-/// One output row: `dst = Σ val_k · B[col_k, :]`, overwriting `dst`.
+/// One output row: `dst = Σ val_k · B[b_row(col_k), :]`, overwriting `dst`.
 #[inline]
-fn spmm_row(cols: &[u32], vals: &[f32], b: &[f32], n: usize, dst: &mut [f32]) {
+fn spmm_row<L: RowLookup + ?Sized>(
+    cols: &[u32],
+    vals: &[f32],
+    b: &[f32],
+    b_row: &L,
+    n: usize,
+    dst: &mut [f32],
+) {
+    let row = |c: u32| {
+        let r = b_row.get(c as usize);
+        &b[r * n..r * n + n]
+    };
     match cols.len() {
         0 => dst.fill(0.0),
         // Fast paths for incidence-matrix rows: `ht` rows have 2 nonzeros,
         // `hrt` rows have 3. Fusing the gathers avoids re-reading `dst`.
         2 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
-            let r1 = &b[cols[1] as usize * n..cols[1] as usize * n + n];
+            let (r0, r1) = (row(cols[0]), row(cols[1]));
             let (v0, v1) = (vals[0], vals[1]);
             for j in 0..n {
                 dst[j] = v0 * r0[j] + v1 * r1[j];
             }
         }
         3 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
-            let r1 = &b[cols[1] as usize * n..cols[1] as usize * n + n];
-            let r2 = &b[cols[2] as usize * n..cols[2] as usize * n + n];
+            let (r0, r1, r2) = (row(cols[0]), row(cols[1]), row(cols[2]));
             let (v0, v1, v2) = (vals[0], vals[1], vals[2]);
             for j in 0..n {
                 dst[j] = v0 * r0[j] + v1 * r1[j] + v2 * r2[j];
             }
         }
         1 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
+            let r0 = row(cols[0]);
             let v0 = vals[0];
             for j in 0..n {
                 dst[j] = v0 * r0[j];
@@ -164,9 +227,8 @@ fn spmm_row(cols: &[u32], vals: &[f32], b: &[f32], n: usize, dst: &mut [f32]) {
             while t0 < n {
                 let t1 = (t0 + COL_TILE).min(n);
                 for (k, &c) in cols.iter().enumerate() {
-                    let v = vals[k];
-                    let src = &b[c as usize * n + t0..c as usize * n + t1];
-                    axpy(v, src, &mut dst[t0..t1]);
+                    let src = &row(c)[t0..t1];
+                    axpy(vals[k], src, &mut dst[t0..t1]);
                 }
                 t0 = t1;
             }
@@ -270,12 +332,16 @@ pub fn csr_spmm_acc_into_with(
 /// Like [`csr_spmm_acc_into_with`] but restricted to an explicit sorted list
 /// of output rows — the touched-row backward kernel.
 ///
-/// `rows` must be strictly ascending indices into `A`'s rows. Only listed
-/// rows are processed (each by exactly one worker, accumulating its
+/// `rows` must be strictly ascending indices into `out`'s rows. Output row
+/// `r` accumulates row `a_row.get(r)` of `A`: with [`Identity`] that is row
+/// `r` itself; for a paged table `out` is the slot-addressed gradient
+/// cache, `rows` its touched slots and `a_row` the slot → row map. Only
+/// listed rows are processed (each by exactly one worker, accumulating its
 /// nonzeros in CSR order, so results are bit-identical to the dense sweep
-/// at any pool width); listed rows with no nonzeros cost nothing. **Rows
-/// outside the list are not touched at all** — the caller must guarantee
-/// every nonempty row of `A` is listed (for an incidence transpose, the
+/// at any pool width and under any lookup); listed rows whose `A` row is
+/// empty cost nothing. **Rows outside the list are not touched at all** —
+/// the caller must guarantee every nonempty row of `A` is reached (for an
+/// incidence transpose, the
 /// [`crate::incidence::IncidencePair::touched_columns`] list or any
 /// superset of it), otherwise their contributions are silently dropped.
 ///
@@ -285,23 +351,32 @@ pub fn csr_spmm_acc_into_with(
 ///
 /// # Panics
 ///
-/// Same conditions as [`csr_spmm_into`], plus (debug only) an unsorted row
-/// list.
-pub fn csr_spmm_acc_rows_into_with(
+/// Panics if `A.cols() != B.rows()`, if `out` does not hold one `B.cols()`
+/// row per lookup index (`A.rows()` of them for [`Identity`]), or (debug
+/// only) on an unsorted row list.
+pub fn csr_spmm_acc_rows_into_with<L: RowLookup + ?Sized>(
     pool: &xparallel::PoolHandle,
     a: &CsrMatrix,
     rows: &[u32],
+    a_row: &L,
     b: DenseView<'_>,
     out: &mut [f32],
 ) {
     assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
     let n = b.cols();
-    assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
+    assert_eq!(
+        out.len(),
+        a_row.len_or(a.rows()) * n,
+        "output buffer has wrong length"
+    );
     metrics::record_spmm_call();
     let indptr = a.indptr();
     let nnz_listed: u64 = rows
         .iter()
-        .map(|&r| u64::from(indptr[r as usize + 1] - indptr[r as usize]))
+        .map(|&r| {
+            let i = a_row.get(r as usize);
+            u64::from(indptr[i + 1] - indptr[i])
+        })
         .sum();
     let flops = if a.has_unit_coefficients() {
         nnz_listed * n as u64
@@ -322,12 +397,12 @@ pub fn csr_spmm_acc_rows_into_with(
     let values = a.values();
     pool.for_listed_rows(out, n, rows, MIN_ROWS_PER_CHUNK, |listed, first, window| {
         for &r in listed {
-            let i = r as usize;
+            let i = a_row.get(r as usize);
             let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
             if s == e {
                 continue;
             }
-            let off = (i - first) * n;
+            let off = (r as usize - first) * n;
             let dst = &mut window[off..off + n];
             for k in s..e {
                 let c = indices[k] as usize;
@@ -555,6 +630,7 @@ mod tests {
             &xparallel::PoolHandle::global(),
             &a,
             &rows,
+            &Identity,
             b.view(),
             &mut listed,
         );
@@ -571,6 +647,7 @@ mod tests {
             &xparallel::PoolHandle::global().with_width(5),
             &a,
             &all,
+            &Identity,
             b.view(),
             &mut superset,
         );
@@ -582,10 +659,125 @@ mod tests {
             &xparallel::PoolHandle::global(),
             &a,
             &[],
+            &Identity,
             b.view(),
             &mut none,
         );
         assert!(none.iter().all(|&x| x == 0.25));
+    }
+
+    /// A matrix whose rows cycle through 0, 1, 2, 3 and 5 distinct
+    /// nonzeros: empty rows, the 1/2/3-nonzero fast paths and the general
+    /// path.
+    fn mixed_csr(rng: &mut StdRng, rows: usize, cols: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::new(rows, cols);
+        for r in 0..rows {
+            let mut seen = std::collections::BTreeSet::new();
+            while seen.len() < [0, 1, 2, 3, 5][r % 5] {
+                seen.insert(rng.gen_range(0..cols));
+            }
+            for c in seen {
+                coo.push(r, c, rng.gen_range(-2.0..2.0)).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// A row → slot map for the columns `a` references, scattered over a
+    /// cache of `2 · cols` slots; unreferenced rows map nowhere (as in a
+    /// pager's map, where they are not resident).
+    fn scatter_slots(rng: &mut StdRng, a: &CsrMatrix) -> Vec<u32> {
+        let mut free: Vec<u32> = (0..2 * a.cols() as u32).collect();
+        let mut slot_of = vec![u32::MAX; a.cols()];
+        for &c in a.indices() {
+            if slot_of[c as usize] == u32::MAX {
+                slot_of[c as usize] = free.swap_remove(rng.gen_range(0..free.len()));
+            }
+        }
+        slot_of
+    }
+
+    #[test]
+    fn mapped_forward_matches_reference_on_a_permuted_table() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (rows, cols, n) = (60, 40, 13);
+        let a = mixed_csr(&mut rng, rows, cols);
+        let b = random_dense(&mut rng, cols, n);
+        let slot_of = scatter_slots(&mut rng, &a);
+        // The slot cache holds each referenced row at its slot; every other
+        // slot is garbage the kernel must never read.
+        let mut cache = vec![f32::NAN; 2 * cols * n];
+        for (r, &s) in slot_of.iter().enumerate() {
+            if s != u32::MAX {
+                let s = s as usize;
+                cache[s * n..(s + 1) * n].copy_from_slice(b.row(r));
+            }
+        }
+        let want = spmm_reference(&a, b.view());
+        let mut resident = vec![f32::NAN; rows * n];
+        let pool = xparallel::PoolHandle::global().with_width(3);
+        csr_spmm_into_with(&pool, &a, b.view(), &Identity, &mut resident);
+        let mut mapped = vec![f32::NAN; rows * n];
+        let cache_view = DenseView::new(2 * cols, n, &cache);
+        csr_spmm_into_with(&pool, &a, cache_view, &slot_of[..], &mut mapped);
+        for (k, ((m, r), w)) in mapped
+            .iter()
+            .zip(&resident)
+            .zip(want.as_slice())
+            .enumerate()
+        {
+            // The map moves bytes only: bit-identical to the resident arm.
+            assert_eq!(m.to_bits(), r.to_bits(), "element {k}");
+            // Every path folds in nonzero order, as the reference does.
+            assert_eq!(m, w, "element {k}");
+        }
+        // Empty rows come out as zeros, not as stale buffer contents.
+        assert!(mapped[..n].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn mapped_listed_backward_matches_reference_on_a_permuted_table() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (m, rows, n) = (50, 30, 11);
+        // `at` is the transpose of a forward matrix: one row per table row.
+        let at = mixed_csr(&mut rng, m, rows).transpose();
+        let g = random_dense(&mut rng, m, n);
+        let touched = at.occupied_rows();
+        // Slot-addressed accumulate over a shuffled cache of 2·rows slots.
+        let mut free: Vec<u32> = (0..2 * rows as u32).collect();
+        let mut row_of = vec![u32::MAX; 2 * rows];
+        let mut slot_of = vec![u32::MAX; rows];
+        for &r in &touched {
+            let s = free.swap_remove(rng.gen_range(0..free.len()));
+            row_of[s as usize] = r;
+            slot_of[r as usize] = s;
+        }
+        let mut slots: Vec<u32> = touched.iter().map(|&r| slot_of[r as usize]).collect();
+        slots.sort_unstable();
+        let pool = xparallel::PoolHandle::global().with_width(4);
+        let mut resident = vec![0f32; rows * n];
+        csr_spmm_acc_rows_into_with(&pool, &at, &touched, &Identity, g.view(), &mut resident);
+        let mut cache = vec![0f32; 2 * rows * n];
+        csr_spmm_acc_rows_into_with(&pool, &at, &slots, &row_of[..], g.view(), &mut cache);
+        let want = spmm_reference(&at, g.view());
+        let untouched = vec![0f32; n];
+        for (r, &s) in slot_of.iter().enumerate() {
+            let got = match s {
+                u32::MAX => &untouched[..],
+                s => &cache[s as usize * n..(s as usize + 1) * n],
+            };
+            let res = &resident[r * n..(r + 1) * n];
+            for (j, ((x, y), w)) in got.iter().zip(res).zip(want.row(r)).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "row {r} col {j}");
+                assert_eq!(x, w, "row {r} col {j}");
+            }
+        }
+        // Slots no touched row owns stay untouched.
+        for (s, &r) in row_of.iter().enumerate() {
+            if r == u32::MAX {
+                assert!(cache[s * n..(s + 1) * n].iter().all(|&x| x == 0.0));
+            }
+        }
     }
 
     #[test]

@@ -172,11 +172,7 @@ where
     // parameter and a reusable row-union buffer: the steady-state
     // synchronous step is allocation-free.
     let mut graphs: Vec<Graph> = (0..workers)
-        .map(|_| {
-            let mut g = Graph::with_pool(PoolHandle::sequential());
-            g.set_fused(config.fused);
-            g
-        })
+        .map(|_| Graph::with_pool(PoolHandle::sequential()))
         .collect();
     let param_ids: Vec<ParamId> = replicas[0].store().param_ids();
     let mut reduce_scratch: Vec<Tensor> = param_ids
@@ -567,11 +563,9 @@ where
             Some(tables) => m.store_mut().alias_values(tables)?,
         }
         let size = shard.num_batches();
-        let mut graph = Graph::with_pool(PoolHandle::sequential());
-        graph.set_fused(config.fused);
         slots.push(HogwildWorker {
             model: m,
-            graph,
+            graph: Graph::with_pool(PoolHandle::sequential()),
             // Sequential inner pool for the same reason as the synchronous
             // driver: the step runs *on* a dedicated worker thread, and the
             // contract makes sequential kernels bit-identical anyway.

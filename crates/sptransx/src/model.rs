@@ -30,18 +30,6 @@ impl Norm {
         }
     }
 
-    /// The fused-kernel row score equivalent to [`Norm::apply`] — same
-    /// variants, same `eps`, so `Graph::spmm_score` with this score is
-    /// bit-identical to `spmm` followed by `apply`.
-    pub fn row_score(self) -> tensor::RowScore {
-        match self {
-            Norm::L1 => tensor::RowScore::L1,
-            Norm::L2 => tensor::RowScore::L2 { eps: 1e-9 },
-            Norm::TorusL1 => tensor::RowScore::TorusL1,
-            Norm::TorusL2 => tensor::RowScore::TorusL2Sq,
-        }
-    }
-
     /// Distance between two raw vectors under this norm (evaluation path).
     pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -147,10 +135,10 @@ pub struct TrainConfig {
     /// per-batch and per-epoch cost changes from `O(batch · d)` to
     /// `O(N · d)`.
     pub dense_grads: bool,
-    /// Uses the fused gather+distance and loss+backward-seed kernels
-    /// (`Graph::set_fused`). On by default; the unfused arm materializes
-    /// every intermediate and is bit-identical — it exists for ablation and
-    /// the fused-kernel property tests.
+    /// Must stay `false`: the fused kernel pipeline was removed, and
+    /// [`TrainConfig::validate`] rejects `true`. Kept only because the
+    /// benchmark harness names it; delete when the benchmark is next
+    /// revised.
     pub fused: bool,
 }
 
@@ -169,7 +157,7 @@ impl Default for TrainConfig {
             lr_schedule: None,
             optimizer: OptimizerKind::Sgd,
             dense_grads: false,
-            fused: true,
+            fused: false,
         }
     }
 }
@@ -198,6 +186,11 @@ impl TrainConfig {
         }
         if self.margin < 0.0 {
             return Err(crate::Error::config("margin must be non-negative"));
+        }
+        if self.fused {
+            return Err(crate::Error::config(
+                "fused kernels were removed; SpMM plus the norm ops is the only scoring path",
+            ));
         }
         Ok(())
     }
@@ -348,6 +341,11 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+        let bad = TrainConfig {
+            fused: true,
+            ..Default::default()
+        };
+        assert!(bad.validate().unwrap_err().to_string().contains("removed"));
     }
 
     #[test]

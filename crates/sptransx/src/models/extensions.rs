@@ -94,10 +94,9 @@ impl KgeModel for SpTransC {
     }
     fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
         let cache = &self.batches[batch_idx];
-        let score = tensor::RowScore::SquaredL2;
-        let pos = g.spmm_score(&self.store, self.emb, cache.pos.clone(), score);
-        let neg = g.spmm_score(&self.store, self.emb, cache.neg.clone(), score);
-        (pos, neg)
+        let pos = g.spmm(&self.store, self.emb, cache.pos.clone());
+        let neg = g.spmm(&self.store, self.emb, cache.neg.clone());
+        (g.squared_l2_norm_rows(pos), g.squared_l2_norm_rows(neg))
     }
     fn end_epoch(&mut self) {
         normalize_leading_rows(&mut self.store, self.emb, self.num_entities);
@@ -323,7 +322,8 @@ impl KgeModel for SpTransM {
         let (wp, wn) = &self.batch_weights[batch_idx];
         let side =
             |g: &mut Graph, pair: &std::sync::Arc<sparse::incidence::IncidencePair>, w: &[f32]| {
-                let dist = g.spmm_score(&self.store, self.emb, pair.clone(), self.norm.row_score());
+                let expr = g.spmm(&self.store, self.emb, pair.clone());
+                let dist = self.norm.apply(g, expr);
                 // Arena-backed input: the weight column recurs every epoch,
                 // so no per-batch `Tensor::from_vec` allocation.
                 let weights = g.input_from_slice(w.len(), 1, w);

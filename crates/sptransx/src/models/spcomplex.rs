@@ -1,7 +1,7 @@
 //! Sparse ComplEx (paper Appendix D, trainable).
 //!
 //! ComplEx scores triples with `Re(⟨h, r, t̄⟩)` over complex embeddings —
-//! a similarity (higher is better). The fused tape op
+//! a similarity (higher is better). The single tape op
 //! [`tensor::Graph::complex_score`] computes it through the complex-conjugate
 //! semiring of Appendix D; scores are negated on the tape for the
 //! margin-ranking trainer.

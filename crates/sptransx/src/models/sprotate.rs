@@ -3,7 +3,7 @@
 //! RotatE embeds entities and relations as complex vectors and scores
 //! `‖h ∘ r − t‖` with relations constrained to the unit circle (rotations).
 //! Appendix D maps this onto the same incidence traversal with a "rotate"
-//! semiring; here the fused tape op [`tensor::Graph::rotate_score`] computes
+//! semiring; here the single tape op [`tensor::Graph::rotate_score`] computes
 //! the per-triple distance and backpropagates through the complex product
 //! via the cached transpose.
 

@@ -117,10 +117,9 @@ impl KgeModel for SpTorusE {
 
     fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
         let cache = &self.batches[batch_idx];
-        let score = self.norm.row_score();
-        let pos = g.spmm_score(&self.store, self.emb, cache.pos.clone(), score);
-        let neg = g.spmm_score(&self.store, self.emb, cache.neg.clone(), score);
-        (pos, neg)
+        let pos = g.spmm(&self.store, self.emb, cache.pos.clone());
+        let neg = g.spmm(&self.store, self.emb, cache.neg.clone());
+        (self.norm.apply(g, pos), self.norm.apply(g, neg))
     }
 
     fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {

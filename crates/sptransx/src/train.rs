@@ -150,8 +150,6 @@ impl<M: KgeModel> Trainer<M> {
         let scheduler = config
             .lr_schedule
             .map(|(step, gamma)| StepLr::new(config.lr, step, gamma));
-        let mut graph = Graph::new();
-        graph.set_fused(config.fused);
         Ok(Self {
             num_batches: plan.num_batches(),
             model,
@@ -159,7 +157,7 @@ impl<M: KgeModel> Trainer<M> {
             optimizer: config.optimizer.build(config.lr),
             scheduler,
             pool: PoolHandle::global(),
-            graph,
+            graph: Graph::new(),
         })
     }
 
@@ -174,7 +172,6 @@ impl<M: KgeModel> Trainer<M> {
     pub fn with_pool(mut self, pool: PoolHandle) -> Self {
         self.optimizer.set_pool(&pool);
         self.graph = Graph::with_pool(pool.clone());
-        self.graph.set_fused(self.config.fused);
         self.pool = pool;
         self
     }

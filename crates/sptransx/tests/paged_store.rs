@@ -14,11 +14,19 @@
 //! 3. **Failure modes** — budgets below the working set, incompatible
 //!    optimizers, and the data-parallel driver all refuse loudly instead of
 //!    silently corrupting state.
+//!
+//! The step-level suite also pins the paged SpMM forward and its
+//! slot-addressed transpose backward: every score, loss, gradient row and
+//! trained table of SpTransE and SpTorusE, under each of their norms and at
+//! several pool widths, equals the resident run bit for bit.
 
 use kg::synthetic::SyntheticKgBuilder;
-use kg::Dataset;
-use sptransx::{FileRowStorage, KgeModel, OptimizerKind, SpTransE, TrainConfig, Trainer};
-use tensor::{PageStats, RowStorage, VecStorage};
+use kg::{BatchPlan, Dataset, UniformSampler};
+use sptransx::{
+    FileRowStorage, KgeModel, Norm, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer,
+};
+use tensor::{Graph, PageStats, RowStorage, VecStorage};
+use xparallel::PoolHandle;
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(200, 4)
@@ -341,4 +349,98 @@ fn file_backend_coalesces_io_transfers_below_per_row_counts() {
     reopened.read_rows_into(0, rows, &mut from_disk).unwrap();
     assert_bits_equal(&from_disk, &final_emb, "flushed file vs final table");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every bit a training run produces, step by step: the positive and
+/// negative scores, the loss, each touched gradient row (row index, then
+/// its bits) and, at the end, the trained table.
+fn step_trace<M: KgeModel>(
+    mut model: M,
+    plan: &BatchPlan,
+    cfg: &TrainConfig,
+    width: usize,
+    budget: Option<usize>,
+) -> Vec<u32> {
+    let pool = PoolHandle::global().with_width(width);
+    let emb = model.store().lookup("embeddings").unwrap();
+    model.attach_plan(plan).unwrap();
+    let (rows, cols) = model.store().param_shape(emb);
+    if let Some(budget) = budget {
+        let storage = Box::new(VecStorage::new(rows, cols));
+        model.store_mut().page_out(emb, storage, budget).unwrap();
+    }
+    let mut graph = Graph::with_pool(pool.clone());
+    let mut opt = cfg.optimizer.build(cfg.lr);
+    opt.set_pool(&pool);
+    let mut trace = Vec::new();
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for _ in 0..cfg.epochs {
+        for b in 0..model.num_batches() {
+            model.store_mut().zero_grads();
+            model.page_in_batch(b).unwrap();
+            graph.reset();
+            let (pos, neg) = model.score_batch(&mut graph, b);
+            let loss = graph.margin_ranking_loss(pos, neg, cfg.margin);
+            graph.backward(loss, model.store_mut());
+            trace.extend(bits(graph.value(pos).as_slice()));
+            trace.extend(bits(graph.value(neg).as_slice()));
+            trace.extend(bits(graph.value(loss).as_slice()));
+            let store = model.store();
+            let grads = store.grad_table(emb);
+            for &r in store.touched(emb).as_slice().unwrap() {
+                let s = grads.slot(r as usize);
+                trace.push(r);
+                trace.extend(bits(&grads.data()[s * cols..(s + 1) * cols]));
+            }
+            opt.step(model.store_mut());
+        }
+        model.end_epoch();
+    }
+    if let Some(pager) = model.store().pager(emb) {
+        assert!(pager.stats().evictions > 0, "no eviction pressure");
+    }
+    model.store_mut().unpage(emb).unwrap();
+    trace.extend(bits(model.store().value(emb).as_slice()));
+    trace
+}
+
+/// Trains `ctor`'s model resident at pool width 1 and paged under eviction
+/// pressure at widths 1, 4 and 8, for each norm, and demands equal bits.
+fn assert_paged_steps_match_resident<M: KgeModel>(
+    norms: [Norm; 2],
+    ctor: fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) {
+    let ds = dataset();
+    let plan = BatchPlan::build(
+        &ds.train,
+        &ds.all_known(),
+        &UniformSampler::new(ds.num_entities),
+        16,
+        7,
+    );
+    for norm in norms {
+        let cfg = TrainConfig {
+            epochs: 2,
+            norm,
+            ..config()
+        };
+        let resident = step_trace(ctor(&ds, &cfg).unwrap(), &plan, &cfg, 1, None);
+        for width in [1, 4, 8] {
+            let paged = step_trace(ctor(&ds, &cfg).unwrap(), &plan, &cfg, width, Some(BUDGET));
+            assert!(
+                paged == resident,
+                "{norm:?}: paged run at width {width} diverged from the resident run"
+            );
+        }
+    }
+}
+
+#[test]
+fn paged_sptranse_steps_match_resident_at_every_width() {
+    assert_paged_steps_match_resident([Norm::L1, Norm::L2], SpTransE::from_config);
+}
+
+#[test]
+fn paged_sptoruse_steps_match_resident_at_every_width() {
+    assert_paged_steps_match_resident([Norm::TorusL1, Norm::TorusL2], SpTorusE::from_config);
 }

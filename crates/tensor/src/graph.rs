@@ -3,7 +3,10 @@
 use std::sync::Arc;
 
 use sparse::incidence::IncidencePair;
-use sparse::spmm::{csr_spmm_acc_into_with, csr_spmm_acc_rows_into_with, csr_spmm_into_with};
+use sparse::spmm::{
+    csr_spmm_acc_into_with, csr_spmm_acc_rows_into_with, csr_spmm_into_with, Identity,
+};
+use sparse::DenseView;
 use xparallel::PoolHandle;
 
 use crate::profile;
@@ -20,146 +23,6 @@ const REDUCE_CHUNK: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-/// Per-row score applied on top of an incidence SpMM by
-/// [`Graph::spmm_score`] — the distance half of a fused
-/// gather+distance kernel.
-///
-/// Each variant reduces one SpMM output row to a scalar with **exactly**
-/// the float association of the corresponding standalone norm op
-/// ([`Graph::l1_norm_rows`], [`Graph::l2_norm_rows`], …), so the fused and
-/// materialized pipelines are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RowScore {
-    /// `Σ_j |x_j|` — [`Graph::l1_norm_rows`].
-    L1,
-    /// `√(Σ_j x_j²)` — [`Graph::l2_norm_rows`]; `eps` guards the backward
-    /// division for zero rows.
-    L2 {
-        /// Backward-division guard, as in [`Graph::l2_norm_rows`].
-        eps: f32,
-    },
-    /// `Σ_j x_j²` — [`Graph::squared_l2_norm_rows`].
-    SquaredL2,
-    /// `Σ_j min(f_j, 1−f_j)`, `f_j = frac(x_j)` — [`Graph::torus_l1_rows`].
-    TorusL1,
-    /// `Σ_j min(f_j, 1−f_j)²` — [`Graph::torus_l2_sq_rows`].
-    TorusL2Sq,
-}
-
-impl RowScore {
-    /// Per-element forward term, matching the standalone norm op's closure
-    /// expression-for-expression.
-    #[inline]
-    fn term(self, x: f32) -> f32 {
-        match self {
-            RowScore::L1 => x.abs(),
-            RowScore::L2 { .. } | RowScore::SquaredL2 => x * x,
-            RowScore::TorusL1 => {
-                let f = x - x.floor();
-                f.min(1.0 - f)
-            }
-            RowScore::TorusL2Sq => {
-                let f = x - x.floor();
-                let d = f.min(1.0 - f);
-                d * d
-            }
-        }
-    }
-
-    /// Final per-row transform of the accumulated terms.
-    #[inline]
-    fn finish(self, acc: f32) -> f32 {
-        match self {
-            RowScore::L2 { .. } => acc.sqrt(),
-            _ => acc,
-        }
-    }
-
-    /// Per-element derivative for every variant except `L2` (whose backward
-    /// divides by the stored row norm and is handled inline).
-    #[inline]
-    fn deriv(self, x: f32) -> f32 {
-        match self {
-            RowScore::L1 => x.signum(),
-            RowScore::SquaredL2 => 2.0 * x,
-            RowScore::TorusL1 => {
-                let f = x - x.floor();
-                if f <= 0.5 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            RowScore::TorusL2Sq => {
-                let f = x - x.floor();
-                if f <= 0.5 {
-                    2.0 * f
-                } else {
-                    -2.0 * (1.0 - f)
-                }
-            }
-            RowScore::L2 { .. } => unreachable!("L2 backward divides by the stored norm"),
-        }
-    }
-}
-
-/// One output element of an incidence-row × dense product, replicating
-/// [`sparse::spmm`]'s `spmm_row` arithmetic (including its 1/2/3-nonzero
-/// fast-path float association) so fused kernels that recompute elements
-/// on the fly stay bit-identical to the materialized SpMM.
-#[inline]
-fn spmm_elem(cols: &[u32], vals: &[f32], b: &[f32], n: usize, j: usize) -> f32 {
-    match cols.len() {
-        0 => 0.0,
-        1 => vals[0] * b[cols[0] as usize * n + j],
-        2 => vals[0] * b[cols[0] as usize * n + j] + vals[1] * b[cols[1] as usize * n + j],
-        3 => {
-            vals[0] * b[cols[0] as usize * n + j]
-                + vals[1] * b[cols[1] as usize * n + j]
-                + vals[2] * b[cols[2] as usize * n + j]
-        }
-        _ => {
-            // General path: fold from 0.0 in nonzero order, exactly the
-            // tiled axpy accumulation of the general SpMM kernel.
-            let mut acc = 0.0f32;
-            for (v, &c) in vals.iter().zip(cols) {
-                acc += v * b[c as usize * n + j];
-            }
-            acc
-        }
-    }
-}
-
-/// [`spmm_elem`] for a paged parameter: `b` is the slot-aligned cache and
-/// `map` the row→slot translation, so the element read is
-/// `b[map[c]·n + j]` instead of `b[c·n + j]`. The fold structure (fast
-/// paths included) is byte-for-byte the same — the slot map moves bytes,
-/// never arithmetic, which is what keeps the paged arm bit-identical.
-#[inline]
-fn spmm_elem_mapped(cols: &[u32], vals: &[f32], b: &[f32], map: &[u32], n: usize, j: usize) -> f32 {
-    #[inline(always)]
-    fn at(b: &[f32], map: &[u32], c: u32, n: usize, j: usize) -> f32 {
-        b[map[c as usize] as usize * n + j]
-    }
-    match cols.len() {
-        0 => 0.0,
-        1 => vals[0] * at(b, map, cols[0], n, j),
-        2 => vals[0] * at(b, map, cols[0], n, j) + vals[1] * at(b, map, cols[1], n, j),
-        3 => {
-            vals[0] * at(b, map, cols[0], n, j)
-                + vals[1] * at(b, map, cols[1], n, j)
-                + vals[2] * at(b, map, cols[2], n, j)
-        }
-        _ => {
-            let mut acc = 0.0f32;
-            for (v, &c) in vals.iter().zip(cols) {
-                acc += v * at(b, map, c, n, j);
-            }
-            acc
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Op {
     Input,
@@ -170,11 +33,6 @@ enum Op {
     Spmm {
         param: ParamId,
         pair: Arc<IncidencePair>,
-    },
-    SpmmScore {
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-        score: RowScore,
     },
     Add(Var, Var),
     Sub(Var, Var),
@@ -304,20 +162,11 @@ pub struct Graph {
     nodes: Vec<Node>,
     pool: PoolHandle,
     arena: Arena,
-    /// Whether fused hot-path kernels are used ([`Graph::spmm_score`] and
-    /// the margin-loss backward seed). On by default; the unfused arm
-    /// records the materialized op-by-op tape instead, bit-identical.
-    fused: bool,
 }
 
 impl Default for Graph {
     fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            pool: PoolHandle::default(),
-            arena: Arena::new(),
-            fused: true,
-        }
+        Self::with_pool(PoolHandle::default())
     }
 }
 
@@ -333,22 +182,20 @@ impl Graph {
             nodes: Vec::new(),
             pool,
             arena: Arena::new(),
-            fused: true,
         }
     }
 
-    /// Enables or disables the fused hot-path kernels.
+    /// Accepts only `false` and does nothing: the fused kernel pipeline is
+    /// gone and [`Graph::spmm`] plus the norm ops are the only scoring path.
     ///
-    /// Fused and unfused tapes are bit-identical (same float association,
-    /// operation for operation); the unfused arm exists for ablation and
-    /// for the property tests that prove the equivalence.
+    /// Kept only because the benchmark harness names it; delete when the
+    /// benchmark is next revised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fused` is `true`.
     pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
-    /// Whether fused hot-path kernels are enabled.
-    pub fn fused(&self) -> bool {
-        self.fused
+        assert!(!fused, "the fused kernel pipeline was removed");
     }
 
     /// The pool handle this tape dispatches kernels on.
@@ -468,104 +315,29 @@ impl Graph {
     /// Multiplies a (cached-transpose) incidence matrix by parameter `param`:
     /// `out = A · P`. Backward: `P.grad += Aᵀ · out.grad` (Appendix G).
     ///
+    /// A paged parameter is read through its row → slot map, so every row
+    /// `A` references must have been paged in ([`ParamStore::page_in`]);
+    /// the result is bit-identical to the resident table's.
+    ///
     /// # Panics
     ///
-    /// Panics if `A.cols() != P.rows()`.
+    /// Panics if `A.cols() != P.rows()`, or if a referenced row of a paged
+    /// parameter is not resident.
     pub fn spmm(&mut self, store: &ParamStore, param: ParamId, pair: Arc<IncidencePair>) -> Var {
         let _t = profile::scope("op::spmm");
-        let p = store.value(param);
+        let table = store.table(param);
+        let d = table.cols();
+        let data = table.data();
+        let b = DenseView::new(data.len().checked_div(d).unwrap_or(0), d, data);
         // The kernel overwrites every output row, so the buffer can come
         // back from the arena unscrubbed (no redundant zero-fill).
-        let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), p.cols());
-        csr_spmm_into_with(&self.pool, &pair.forward, p.view(), out.as_mut_slice());
-        self.push(out, Op::Spmm { param, pair })
-    }
-
-    /// Fused gather+distance: computes the `(m, 1)` per-row score
-    /// `out[i] = score(A[i,:] · P)` in a single pass, never materializing
-    /// the `m × d` SpMM intermediate — the pack-indices-then-single-pass
-    /// shape of the paper's hot path.
-    ///
-    /// Bit-identical to `spmm` followed by the matching norm op: each
-    /// output element is recomputed with `spmm_elem`'s exact association
-    /// and the terms are folded from `0.0` in column order, the same
-    /// arithmetic the materialized pipeline performs. When the tape's fused
-    /// flag is off this *records* that two-op pipeline instead.
-    ///
-    /// Backward (fused arm) traverses the cached transpose like the SpMM
-    /// backward, recomputing scored elements on the fly; each parameter
-    /// gradient row is owned by exactly one worker, so training stays
-    /// bit-identical at any pool width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `A.cols() != P.rows()`.
-    pub fn spmm_score(
-        &mut self,
-        store: &ParamStore,
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-        score: RowScore,
-    ) -> Var {
-        if !self.fused {
-            let x = self.spmm(store, param, pair);
-            return match score {
-                RowScore::L1 => self.l1_norm_rows(x),
-                RowScore::L2 { eps } => self.l2_norm_rows(x, eps),
-                RowScore::SquaredL2 => self.squared_l2_norm_rows(x),
-                RowScore::TorusL1 => self.torus_l1_rows(x),
-                RowScore::TorusL2Sq => self.torus_l2_sq_rows(x),
-            };
+        let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), d);
+        let out_data = out.as_mut_slice();
+        match table.map() {
+            None => csr_spmm_into_with(&self.pool, &pair.forward, b, &Identity, out_data),
+            Some(slot_of) => csr_spmm_into_with(&self.pool, &pair.forward, b, slot_of, out_data),
         }
-        let _t = profile::scope("op::spmm_score");
-        // `table` serves both residency modes: a resident parameter reads
-        // rows directly, a paged one reads its pinned cache through the
-        // row→slot map (every incidence column was paged in up front).
-        let view = store.table(param);
-        assert_eq!(pair.forward.cols(), view.rows(), "incidence width mismatch");
-        let d = view.cols();
-        let m = pair.forward.rows();
-        let pd = view.data();
-        let map = view.map();
-        let indptr = pair.forward.indptr();
-        let indices = pair.forward.indices();
-        let values = pair.forward.values();
-        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
-        self.pool
-            .for_rows(out.as_mut_slice(), 1, 128, |first, chunk| {
-                for (k, dst) in chunk.iter_mut().enumerate() {
-                    let i = first + k;
-                    let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-                    let (cols, vals) = (&indices[s..e], &values[s..e]);
-                    let mut acc = 0.0f32;
-                    match map {
-                        None => {
-                            for j in 0..d {
-                                acc += score.term(spmm_elem(cols, vals, pd, d, j));
-                            }
-                        }
-                        Some(map) => {
-                            for j in 0..d {
-                                acc += score.term(spmm_elem_mapped(cols, vals, pd, map, d, j));
-                            }
-                        }
-                    }
-                    *dst = score.finish(acc);
-                }
-            });
-        // One SpMM's worth of reads plus the reduction's flops, but the
-        // output write shrinks from m·d to m — the traffic the fusion
-        // eliminates, visible in the per-kernel counter report.
-        sparse::metrics::record_spmm_call();
-        let nnz = pair.forward.nnz() as u64;
-        let spmm_flops = if pair.forward.has_unit_coefficients() {
-            nnz.saturating_sub(m as u64) * d as u64
-        } else {
-            2 * nnz * d as u64
-        };
-        sparse::metrics::add_flops(spmm_flops + 2 * (m * d) as u64);
-        sparse::metrics::add_bytes(nnz * 8 + nnz * d as u64 * 4 + m as u64 * 4);
-        self.push(out, Op::SpmmScore { param, pair, score })
+        self.push(out, Op::Spmm { param, pair })
     }
 
     /// Elementwise sum of two same-shape nodes.
@@ -1037,153 +809,36 @@ impl Graph {
                 // (plus any rows other ops already touched, whose Aᵀ rows
                 // are empty here) instead of scanning the whole table.
                 store.touch(param, pair.touched_columns());
+                let tr = &pair.transpose;
+                if store.is_paged(param) {
+                    // Paged: the gradient is the slot cache, so the walk
+                    // runs over the touched rows' sorted slots and maps each
+                    // back to its row of Aᵀ. Same per-row arithmetic, same
+                    // one-owner-per-row split: bit-identical to the resident
+                    // arm.
+                    let (grad, slots, row_of) = store.paged_backward_parts(param);
+                    csr_spmm_acc_rows_into_with(
+                        &self.pool,
+                        tr,
+                        slots,
+                        row_of,
+                        g.view(),
+                        grad.as_mut_slice(),
+                    );
+                    return;
+                }
                 let (grad, rows) = store.grad_and_rows_mut(param);
                 match rows.as_slice() {
                     Some(rows) => csr_spmm_acc_rows_into_with(
                         &self.pool,
-                        &pair.transpose,
+                        tr,
                         rows,
+                        &Identity,
                         g.view(),
                         grad.as_mut_slice(),
                     ),
-                    None => csr_spmm_acc_into_with(
-                        &self.pool,
-                        &pair.transpose,
-                        g.view(),
-                        grad.as_mut_slice(),
-                    ),
+                    None => csr_spmm_acc_into_with(&self.pool, tr, g.view(), grad.as_mut_slice()),
                 }
-            }
-            Op::SpmmScore { param, pair, score } => {
-                let _t = profile::scope("op::spmm_score_backward");
-                let fwd = &pair.forward;
-                let tr = &pair.transpose;
-                store.touch(param, pair.touched_columns());
-                // The stored (m,1) score column feeds the L2 backward's
-                // division, exactly like the standalone norm op.
-                let nd = self.nodes[i].value.as_slice();
-                if store.is_paged(param) {
-                    // Paged arm: value/grad hold the slot-aligned cache, so
-                    // the touched-row walk runs over the rows' *slots* (the
-                    // cache-row list for `for_listed_rows`) and each slot
-                    // maps back to its absolute row for the transpose
-                    // traversal. Same per-row arithmetic, same one-worker-
-                    // per-row ownership: bit-identical to the resident arm.
-                    let (pv, grad, slots, row_of, slot_of) = store.paged_backward_parts(param);
-                    let d = pv.cols();
-                    let pd = pv.as_slice();
-                    let gd = g.as_slice();
-                    let indptr = fwd.indptr();
-                    let indices = fwd.indices();
-                    let values = fwd.values();
-                    if d > 0 {
-                        let process = |e: usize, dst: &mut [f32]| {
-                            for (ti, aval) in tr.row(e) {
-                                let (s, epos) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                                let (cols, vals) = (&indices[s..epos], &values[s..epos]);
-                                let gi = gd[ti];
-                                if let RowScore::L2 { eps } = score {
-                                    let denom = nd[ti].max(eps);
-                                    for (j, dj) in dst.iter_mut().enumerate() {
-                                        let x = spmm_elem_mapped(cols, vals, pd, slot_of, d, j);
-                                        *dj += aval * (0.0 + gi * x / denom);
-                                    }
-                                } else {
-                                    for (j, dj) in dst.iter_mut().enumerate() {
-                                        let x = spmm_elem_mapped(cols, vals, pd, slot_of, d, j);
-                                        *dj += aval * (0.0 + gi * score.deriv(x));
-                                    }
-                                }
-                            }
-                        };
-                        self.pool.for_listed_rows(
-                            grad.as_mut_slice(),
-                            d,
-                            slots,
-                            64,
-                            |listed, first, window| {
-                                for &s in listed {
-                                    let s = s as usize;
-                                    let off = (s - first) * d;
-                                    process(row_of[s] as usize, &mut window[off..off + d]);
-                                }
-                            },
-                        );
-                    }
-                    sparse::metrics::record_spmm_call();
-                    let nnz = fwd.nnz() as u64;
-                    sparse::metrics::add_flops(4 * nnz * d as u64);
-                    sparse::metrics::add_bytes(nnz * 8 + 3 * (nnz * d as u64 * 4));
-                    return;
-                }
-                let (pv, grad, rows) = store.value_grad_rows_mut(param);
-                let d = pv.cols();
-                let pd = pv.as_slice();
-                let gd = g.as_slice();
-                let indptr = fwd.indptr();
-                let indices = fwd.indices();
-                let values = fwd.values();
-                if d > 0 {
-                    // For parameter row `e`, each incident batch row `i`
-                    // contributes `aval · (g_i · score'(x_{i,j}))`, with
-                    // `x` recomputed element-by-element instead of read
-                    // from a materialized SpMM output. The leading
-                    // `0.0 + …` replicates the unfused pipeline's
-                    // node-gradient accumulate (which canonicalizes
-                    // `-0.0` to `+0.0`), keeping the arms bit-identical.
-                    let process = |e: usize, dst: &mut [f32]| {
-                        for (ti, aval) in tr.row(e) {
-                            let (s, epos) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                            let (cols, vals) = (&indices[s..epos], &values[s..epos]);
-                            let gi = gd[ti];
-                            if let RowScore::L2 { eps } = score {
-                                let denom = nd[ti].max(eps);
-                                for (j, dj) in dst.iter_mut().enumerate() {
-                                    let x = spmm_elem(cols, vals, pd, d, j);
-                                    *dj += aval * (0.0 + gi * x / denom);
-                                }
-                            } else {
-                                for (j, dj) in dst.iter_mut().enumerate() {
-                                    let x = spmm_elem(cols, vals, pd, d, j);
-                                    *dj += aval * (0.0 + gi * score.deriv(x));
-                                }
-                            }
-                        }
-                    };
-                    match rows.as_slice() {
-                        Some(rows) => self.pool.for_listed_rows(
-                            grad.as_mut_slice(),
-                            d,
-                            rows,
-                            64,
-                            |listed, first, window| {
-                                for &e in listed {
-                                    let e = e as usize;
-                                    let off = (e - first) * d;
-                                    process(e, &mut window[off..off + d]);
-                                }
-                            },
-                        ),
-                        None => self
-                            .pool
-                            .for_rows(grad.as_mut_slice(), d, 64, |first, chunk| {
-                                let rows_here = chunk.len() / d;
-                                for local in 0..rows_here {
-                                    let e = first + local;
-                                    process(e, &mut chunk[local * d..(local + 1) * d]);
-                                }
-                            }),
-                    }
-                }
-                // Same traffic model as the accumulating SpMM backward
-                // (index+value per incident nonzero, one operand-lane read
-                // per pair — the recomputed rows are the cache-hot rows the
-                // forward just charged — plus the gradient read+write),
-                // with the deriv recompute folded into the flop estimate.
-                sparse::metrics::record_spmm_call();
-                let nnz = fwd.nnz() as u64;
-                sparse::metrics::add_flops(4 * nnz * d as u64);
-                sparse::metrics::add_bytes(nnz * 8 + 3 * (nnz * d as u64 * 4));
             }
             Op::Add(a, b) => {
                 self.accum(a, g, 1.0);
@@ -1363,48 +1018,6 @@ impl Graph {
             Op::MarginRankingLoss { pos, neg, margin } => {
                 let m = self.nodes[pos.0].value.rows();
                 let gscale = if m == 0 { 0.0 } else { g.get(0, 0) / m as f32 };
-                if self.fused
-                    && pos != neg
-                    && self.nodes[pos.0].grad.is_none()
-                    && self.nodes[neg.0].grad.is_none()
-                {
-                    // Fused loss+backward-seed: the score gradients are
-                    // written once, directly into fresh node-gradient
-                    // buffers, skipping the dp/dn temporaries and the two
-                    // accumulate passes. `0.0 + ±gscale` replicates the
-                    // accumulate's float association (it canonicalizes
-                    // `-0.0` to `+0.0`), so both arms are bit-identical.
-                    let _t = profile::scope("op::margin_loss_backward_fused");
-                    let mut dp = Tensor::zeros_in(&mut self.arena, m, 1);
-                    let mut dn = Tensor::zeros_in(&mut self.arena, m, 1);
-                    {
-                        let (pd, nd) = (
-                            self.nodes[pos.0].value.as_slice(),
-                            self.nodes[neg.0].value.as_slice(),
-                        );
-                        let seed_p = 0.0 + gscale;
-                        let seed_n = 0.0 + (-gscale);
-                        self.pool.for_mut(dp.as_mut_slice(), 256, |offset, chunk| {
-                            for (k, d) in chunk.iter_mut().enumerate() {
-                                let r = offset + k;
-                                if margin + pd[r] - nd[r] > 0.0 {
-                                    *d = seed_p;
-                                }
-                            }
-                        });
-                        self.pool.for_mut(dn.as_mut_slice(), 256, |offset, chunk| {
-                            for (k, d) in chunk.iter_mut().enumerate() {
-                                let r = offset + k;
-                                if margin + pd[r] - nd[r] > 0.0 {
-                                    *d = seed_n;
-                                }
-                            }
-                        });
-                    }
-                    self.nodes[pos.0].grad = Some(dp);
-                    self.nodes[neg.0].grad = Some(dn);
-                    return;
-                }
                 // Inactive rows keep gradient 0 — the buffers are only
                 // partially written, so they must come back zeroed.
                 let mut dp = Tensor::zeros_in(&mut self.arena, m, 1);
@@ -2194,18 +1807,158 @@ mod tests {
         assert!(g.arena().held_bytes() > 0);
     }
 
-    /// All five row scores the fused kernel supports.
-    const ALL_SCORES: [RowScore; 5] = [
-        RowScore::L1,
-        RowScore::L2 { eps: 1e-9 },
-        RowScore::SquaredL2,
-        RowScore::TorusL1,
-        RowScore::TorusL2Sq,
+    /// The row scores the removed fused gather+distance kernel supported,
+    /// with that kernel's arithmetic kept as a serial reference for the
+    /// `spmm` + norm pipeline that replaced it. Every element of the SpMM
+    /// output is recomputed from its incidence row with `spmm_row`'s
+    /// 1/2/3-nonzero association, and the backward recomputes it once per
+    /// incident batch row. The pipeline must match it bit for bit.
+    #[derive(Debug, Clone, Copy)]
+    enum FusedRef {
+        L1,
+        L2 { eps: f32 },
+        SquaredL2,
+        TorusL1,
+        TorusL2Sq,
+    }
+
+    const ALL_SCORES: [FusedRef; 5] = [
+        FusedRef::L1,
+        FusedRef::L2 { eps: 1e-9 },
+        FusedRef::SquaredL2,
+        FusedRef::TorusL1,
+        FusedRef::TorusL2Sq,
     ];
 
-    /// Full pos/neg margin-loss tape over `spmm_score`, returning the score
-    /// bits, loss bits, and parameter-gradient bits.
-    fn spmm_score_pass(fused: bool, score: RowScore) -> (Vec<u32>, u32, Vec<u32>) {
+    impl FusedRef {
+        /// The tape's norm op for this score.
+        fn apply(self, g: &mut Graph, x: Var) -> Var {
+            match self {
+                FusedRef::L1 => g.l1_norm_rows(x),
+                FusedRef::L2 { eps } => g.l2_norm_rows(x, eps),
+                FusedRef::SquaredL2 => g.squared_l2_norm_rows(x),
+                FusedRef::TorusL1 => g.torus_l1_rows(x),
+                FusedRef::TorusL2Sq => g.torus_l2_sq_rows(x),
+            }
+        }
+
+        fn term(self, x: f32) -> f32 {
+            match self {
+                FusedRef::L1 => x.abs(),
+                FusedRef::L2 { .. } | FusedRef::SquaredL2 => x * x,
+                FusedRef::TorusL1 => {
+                    let f = x - x.floor();
+                    f.min(1.0 - f)
+                }
+                FusedRef::TorusL2Sq => {
+                    let f = x - x.floor();
+                    let d = f.min(1.0 - f);
+                    d * d
+                }
+            }
+        }
+
+        /// `seed · ∂score/∂x` for one element of batch row `i`.
+        fn grad_term(self, x: f32, seed: f32, score: f32) -> f32 {
+            match self {
+                FusedRef::L1 => seed * x.signum(),
+                FusedRef::L2 { eps } => seed * x / score.max(eps),
+                FusedRef::SquaredL2 => seed * (2.0 * x),
+                FusedRef::TorusL1 => {
+                    let f = x - x.floor();
+                    seed * if f <= 0.5 { 1.0 } else { -1.0 }
+                }
+                FusedRef::TorusL2Sq => {
+                    let f = x - x.floor();
+                    seed * if f <= 0.5 { 2.0 * f } else { -2.0 * (1.0 - f) }
+                }
+            }
+        }
+
+        /// Element `(i, j)` of `A · table`.
+        fn elem(a: &sparse::CsrMatrix, table: &[f32], n: usize, i: usize, j: usize) -> f32 {
+            let (s, e) = (a.indptr()[i] as usize, a.indptr()[i + 1] as usize);
+            let (cols, vals) = (&a.indices()[s..e], &a.values()[s..e]);
+            let b = |k: usize| table[cols[k] as usize * n + j];
+            match cols.len() {
+                0 => 0.0,
+                1 => vals[0] * b(0),
+                2 => vals[0] * b(0) + vals[1] * b(1),
+                3 => vals[0] * b(0) + vals[1] * b(1) + vals[2] * b(2),
+                _ => (0..cols.len()).fold(0.0f32, |acc, k| acc + vals[k] * b(k)),
+            }
+        }
+
+        /// The score of every batch row of `pair`.
+        fn forward(self, pair: &IncidencePair, table: &Tensor) -> Vec<f32> {
+            let a = &pair.forward;
+            let n = table.cols();
+            (0..a.rows())
+                .map(|i| {
+                    let acc = (0..n)
+                        .map(|j| self.term(Self::elem(a, table.as_slice(), n, i, j)))
+                        .sum::<f32>();
+                    match self {
+                        FusedRef::L2 { .. } => acc.sqrt(),
+                        _ => acc,
+                    }
+                })
+                .collect()
+        }
+
+        /// Adds the gradient of `Σ_i seed_i · score_i` into `grad`, one
+        /// parameter row at a time over its incident batch rows.
+        fn backward(
+            self,
+            pair: &IncidencePair,
+            table: &Tensor,
+            scores: &[f32],
+            seed: &[f32],
+            grad: &mut [f32],
+        ) {
+            let n = table.cols();
+            for e in 0..table.rows() {
+                for (i, aval) in pair.transpose.row(e) {
+                    for j in 0..n {
+                        let x = Self::elem(&pair.forward, table.as_slice(), n, i, j);
+                        grad[e * n + j] += aval * (0.0 + self.grad_term(x, seed[i], scores[i]));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The margin-loss backward seeds written directly, as the removed
+    /// fused loss seed did: `+1/m` on the positive and `−1/m` on the
+    /// negative score of every active row, `0` elsewhere, each through
+    /// the accumulate's `0.0 + …`.
+    fn margin_seeds(pos: &[f32], neg: &[f32], margin: f32) -> (Vec<f32>, Vec<f32>) {
+        let gscale = 1.0 / pos.len() as f32;
+        pos.iter()
+            .zip(neg)
+            .map(|(&p, &n)| {
+                if margin + p - n > 0.0 {
+                    (0.0 + gscale, 0.0 + (-gscale))
+                } else {
+                    (0.0, 0.0)
+                }
+            })
+            .unzip()
+    }
+
+    fn margin_loss_ref(pos: &[f32], neg: &[f32], margin: f32) -> f32 {
+        let acc = pos.iter().zip(neg).fold(0.0f64, |acc, (&p, &n)| {
+            acc + f64::from((margin + p - n).max(0.0))
+        });
+        (acc / pos.len() as f64) as f32
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_spmm_score_matches_unfused_bitwise() {
         let data = Tensor::from_rows(&[
             [0.3, -0.2, 1.1],
             [1.5, 0.7, -0.6],
@@ -2213,7 +1966,6 @@ mod tests {
             [0.1, 0.2, -1.3],
             [0.8, -0.5, 0.4],
         ]);
-        let (mut store, p) = store_with("emb", data);
         // Entities 0..4 with relation rows folded in; duplicate heads/tails
         // exercise gradient accumulation order.
         let pos = Arc::new(IncidencePair::new(
@@ -2222,111 +1974,117 @@ mod tests {
         let neg = Arc::new(IncidencePair::new(
             hrt(4, 1, &[3, 1, 2], &[0, 0, 0], &[1, 2, 0], TailSign::Negative).unwrap(),
         ));
-        let mut g = Graph::new();
-        g.set_fused(fused);
-        let sp = g.spmm_score(&store, p, pos, score);
-        let sn = g.spmm_score(&store, p, neg, score);
-        let loss = g.margin_ranking_loss(sp, sn, 1.0);
-        g.backward(loss, &mut store);
-        let score_bits = g
-            .value(sp)
-            .as_slice()
-            .iter()
-            .chain(g.value(sn).as_slice())
-            .map(|x| x.to_bits())
-            .collect();
-        let grad_bits = store
-            .grad(p)
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        (score_bits, g.value(loss).get(0, 0).to_bits(), grad_bits)
-    }
-
-    #[test]
-    fn fused_spmm_score_matches_unfused_bitwise() {
         for score in ALL_SCORES {
-            let fused = spmm_score_pass(true, score);
-            let unfused = spmm_score_pass(false, score);
-            assert_eq!(fused, unfused, "fused vs unfused diverged for {score:?}");
+            let (mut store, p) = store_with("emb", data.clone());
+            let mut g = Graph::new();
+            let xp = g.spmm(&store, p, pos.clone());
+            let sp = score.apply(&mut g, xp);
+            let xn = g.spmm(&store, p, neg.clone());
+            let sn = score.apply(&mut g, xn);
+            let loss = g.margin_ranking_loss(sp, sn, 1.0);
+            g.backward(loss, &mut store);
+
+            let ref_pos = score.forward(&pos, &data);
+            let ref_neg = score.forward(&neg, &data);
+            assert_eq!(bits(g.value(sp).as_slice()), bits(&ref_pos), "{score:?}");
+            assert_eq!(bits(g.value(sn).as_slice()), bits(&ref_neg), "{score:?}");
+            assert_eq!(
+                g.value(loss).get(0, 0).to_bits(),
+                margin_loss_ref(&ref_pos, &ref_neg, 1.0).to_bits(),
+                "{score:?}"
+            );
+            // The tape runs the negative SpMM's backward first.
+            let (seed_p, seed_n) = margin_seeds(&ref_pos, &ref_neg, 1.0);
+            let mut grad = vec![0.0f32; data.len()];
+            score.backward(&neg, &data, &ref_neg, &seed_n, &mut grad);
+            score.backward(&pos, &data, &ref_pos, &seed_p, &mut grad);
+            assert_eq!(bits(store.grad(p).as_slice()), bits(&grad), "{score:?}");
         }
     }
 
     #[test]
     fn fused_spmm_score_matches_two_nonzero_rows() {
-        // ht incidence (2 nonzeros per row) hits spmm_elem's pair fast path.
+        // ht incidence (2 nonzeros per row) hits spmm_row's pair fast path.
         let data = Tensor::from_rows(&[[1.0, -0.5], [0.3, 0.8], [-1.2, 0.1]]);
+        let pair = Arc::new(IncidencePair::new(ht(3, &[0, 2, 1], &[1, 0, 2]).unwrap()));
         for score in ALL_SCORES {
-            let run = |fused: bool| {
-                let (mut store, p) = store_with("emb", data.clone());
-                let pair = Arc::new(IncidencePair::new(ht(3, &[0, 2, 1], &[1, 0, 2]).unwrap()));
-                let mut g = Graph::new();
-                g.set_fused(fused);
-                let s = g.spmm_score(&store, p, pair, score);
-                let loss = g.mean(s);
-                g.backward(loss, &mut store);
-                let bits: Vec<u32> = g
-                    .value(s)
-                    .as_slice()
-                    .iter()
-                    .chain(store.grad(p).as_slice())
-                    .map(|x| x.to_bits())
-                    .collect();
-                bits
-            };
-            assert_eq!(run(true), run(false), "ht divergence for {score:?}");
+            let (mut store, p) = store_with("emb", data.clone());
+            let mut g = Graph::new();
+            let x = g.spmm(&store, p, pair.clone());
+            let s = score.apply(&mut g, x);
+            let loss = g.mean(s);
+            g.backward(loss, &mut store);
+
+            let ref_scores = score.forward(&pair, &data);
+            assert_eq!(bits(g.value(s).as_slice()), bits(&ref_scores), "{score:?}");
+            let seed = vec![1.0 / ref_scores.len() as f32; ref_scores.len()];
+            let mut grad = vec![0.0f32; data.len()];
+            score.backward(&pair, &data, &ref_scores, &seed, &mut grad);
+            assert_eq!(bits(store.grad(p).as_slice()), bits(&grad), "{score:?}");
         }
     }
 
     #[test]
     fn fused_margin_loss_seed_matches_accumulated_path() {
-        // Gather-based tape (no spmm_score): only the loss+seed fusion
-        // differs between the arms.
-        let run = |fused: bool| {
-            let data = Tensor::from_rows(&[[0.4, -0.7], [1.1, 0.2], [-0.3, 0.9]]);
-            let (mut store, p) = store_with("emb", data);
-            let mut g = Graph::new();
-            g.set_fused(fused);
-            let hp = g.gather(&store, p, vec![0, 1, 2]);
-            let hn = g.gather(&store, p, vec![2, 0, 1]);
-            let np = g.l2_norm_rows(hp, 1e-9);
-            let nn = g.l2_norm_rows(hn, 1e-9);
-            let loss = g.margin_ranking_loss(np, nn, 0.5);
-            g.backward(loss, &mut store);
-            let bits: Vec<u32> = g
-                .grad(np)
-                .unwrap()
-                .as_slice()
+        // Gather-based tape: the accumulated margin-loss backward must
+        // write exactly the direct seeds, and the parameter gradient must
+        // follow from them through the L2 and gather backwards.
+        let data = Tensor::from_rows(&[[0.4, -0.7], [1.1, 0.2], [-0.3, 0.9]]);
+        let (idx_p, idx_n) = (vec![0u32, 1, 2], vec![2u32, 0, 1]);
+        let (mut store, p) = store_with("emb", data.clone());
+        let mut g = Graph::new();
+        let hp = g.gather(&store, p, idx_p.clone());
+        let hn = g.gather(&store, p, idx_n.clone());
+        let np = g.l2_norm_rows(hp, 1e-9);
+        let nn = g.l2_norm_rows(hn, 1e-9);
+        let loss = g.margin_ranking_loss(np, nn, 0.5);
+        g.backward(loss, &mut store);
+
+        let norm = |r: u32| {
+            data.row(r as usize)
                 .iter()
-                .chain(g.grad(nn).unwrap().as_slice())
-                .chain(store.grad(p).as_slice())
-                .map(|x| x.to_bits())
-                .collect();
-            (g.value(loss).get(0, 0).to_bits(), bits)
+                .map(|x| x * x)
+                .sum::<f32>()
+                .sqrt()
         };
-        assert_eq!(run(true), run(false));
+        let ref_pos: Vec<f32> = idx_p.iter().map(|&r| norm(r)).collect();
+        let ref_neg: Vec<f32> = idx_n.iter().map(|&r| norm(r)).collect();
+        assert_eq!(
+            g.value(loss).get(0, 0).to_bits(),
+            margin_loss_ref(&ref_pos, &ref_neg, 0.5).to_bits()
+        );
+        let (seed_p, seed_n) = margin_seeds(&ref_pos, &ref_neg, 0.5);
+        assert!(seed_p.iter().any(|&s| s != 0.0), "some row must be active");
+        assert_eq!(bits(g.grad(np).unwrap().as_slice()), bits(&seed_p));
+        assert_eq!(bits(g.grad(nn).unwrap().as_slice()), bits(&seed_n));
+
+        // Gather backwards run negative first, in index-scan order.
+        let n = data.cols();
+        let mut grad = vec![0.0f32; data.len()];
+        for (idx, scores, seed) in [(&idx_n, &ref_neg, &seed_n), (&idx_p, &ref_pos, &seed_p)] {
+            for (i, &r) in idx.iter().enumerate() {
+                for (j, &x) in data.row(r as usize).iter().enumerate() {
+                    grad[r as usize * n + j] += 0.0 + seed[i] * x / scores[i].max(1e-9);
+                }
+            }
+        }
+        assert_eq!(bits(store.grad(p).as_slice()), bits(&grad));
     }
 
     #[test]
     fn fused_margin_loss_with_shared_operand_falls_back() {
-        // pos == neg must not hit the direct-seed path (both grads land on
-        // one node); the loss is degenerate but must not panic and the two
-        // arms must agree.
-        let run = |fused: bool| {
-            let mut store = ParamStore::new();
-            let mut g = Graph::new();
-            g.set_fused(fused);
-            let s = g.input(Tensor::from_rows(&[[1.0], [2.0]]));
-            let loss = g.margin_ranking_loss(s, s, 0.5);
-            g.backward(loss, &mut store);
-            g.grad(s)
-                .unwrap()
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<u32>>()
-        };
-        assert_eq!(run(true), run(false));
+        // pos == neg puts both seeds on one node: the accumulated backward
+        // must sum them (to exactly +0.0 on every active row) instead of
+        // one overwriting the other. The loss is degenerate: the margin.
+        let mut store = ParamStore::new();
+        let mut g = Graph::new();
+        let s = g.input(Tensor::from_rows(&[[1.0], [2.0]]));
+        let loss = g.margin_ranking_loss(s, s, 0.5);
+        g.backward(loss, &mut store);
+        assert_eq!(g.value(loss).get(0, 0).to_bits(), 0.5f32.to_bits());
+        let (seed_p, seed_n) = margin_seeds(&[1.0, 2.0], &[1.0, 2.0], 0.5);
+        let summed: Vec<f32> = seed_p.iter().zip(&seed_n).map(|(a, b)| a + b).collect();
+        assert_eq!(bits(g.grad(s).unwrap().as_slice()), bits(&summed));
+        assert_eq!(bits(&summed), bits(&[0.0, 0.0]));
     }
 }

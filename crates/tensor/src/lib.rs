@@ -62,7 +62,7 @@ mod store;
 mod tensor;
 
 pub use arena::Arena;
-pub use graph::{Graph, RowScore, Var};
+pub use graph::{Graph, Var};
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.
 pub mod kernels {

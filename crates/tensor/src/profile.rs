@@ -9,8 +9,8 @@
 //! Each scope additionally attributes the `sparse::metrics` counter deltas
 //! (estimated bytes moved, floating-point ops) that elapsed while it was
 //! open, so a Table-5-style report can show *which kernel* saved memory
-//! traffic — e.g. that a fused gather+distance scope moves fewer bytes than
-//! the gather and norm scopes it replaces. Attribution is exact when one
+//! traffic — e.g. that the SpMM scope moves fewer bytes than the gather,
+//! add and subtract scopes of the dense baseline. Attribution is exact when one
 //! scope's kernels run at a time (the trainer's case: ops execute in tape
 //! order, parallel only *inside* a kernel); concurrently open scopes each
 //! absorb the whole process-wide delta, the same overlap semantics as the

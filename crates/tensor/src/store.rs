@@ -453,7 +453,7 @@ impl ParamStore {
     }
 
     /// Like [`grad_and_rows_mut`](Self::grad_and_rows_mut) with the value
-    /// borrowed alongside (the fused backward kernels read it).
+    /// borrowed alongside (for backward kernels that read it).
     pub(crate) fn value_grad_rows_mut(&mut self, id: ParamId) -> (&Tensor, &mut Tensor, &RowSet) {
         self.assert_resident(id);
         (
@@ -728,16 +728,25 @@ impl ParamStore {
     /// Read view of a parameter's table for row-indexing kernels: data plus
     /// the optional row → slot map (see [`TableView`]).
     pub fn table(&self, id: ParamId) -> TableView<'_> {
-        let i = id.0;
-        match &self.pagers[i] {
+        self.view(id, &self.values[id.0])
+    }
+
+    /// Read view of a parameter's gradient accumulator, addressed like
+    /// [`ParamStore::table`] (slot-aligned for paged parameters).
+    pub fn grad_table(&self, id: ParamId) -> TableView<'_> {
+        self.view(id, &self.grads[id.0])
+    }
+
+    fn view<'a>(&'a self, id: ParamId, t: &'a Tensor) -> TableView<'a> {
+        match &self.pagers[id.0] {
             None => TableView {
-                data: self.values[i].as_slice(),
-                rows: self.values[i].rows(),
-                cols: self.values[i].cols(),
+                data: t.as_slice(),
+                rows: t.rows(),
+                cols: t.cols(),
                 map: None,
             },
             Some(p) => TableView {
-                data: self.values[i].as_slice(),
+                data: t.as_slice(),
                 rows: p.rows(),
                 cols: p.cols(),
                 map: Some(p.slot_of()),
@@ -981,32 +990,20 @@ impl ParamStore {
         }
     }
 
-    /// Backward-pass view of a paged parameter for the slot-translating
-    /// fused kernels: `(cache values, cache grads, sorted slots of the
-    /// touched rows, slot → row map, row → slot map)`. The slot list is
-    /// strictly ascending (for destination-row-sharded dispatch); its
-    /// translation is a bijection off the sorted touched set, so per-row
-    /// work — and therefore every bit — matches the resident arm.
-    pub(crate) fn paged_backward_parts(
-        &mut self,
-        id: ParamId,
-    ) -> (&Tensor, &mut Tensor, &[u32], &[u32], &[u32]) {
+    /// Backward-pass view of a paged parameter for the slot-addressed SpMM
+    /// backward: `(cache grads, sorted slots of the touched rows, slot →
+    /// row map)`. The slot list is strictly ascending (for
+    /// destination-row-sharded dispatch); its translation is a bijection
+    /// off the sorted touched set, so per-row work — and therefore every
+    /// bit — matches the resident arm.
+    pub(crate) fn paged_backward_parts(&mut self, id: ParamId) -> (&mut Tensor, &[u32], &[u32]) {
         let i = id.0;
-        {
-            let pager = self.pagers[i].as_mut().expect("parameter is paged");
-            let touched = self.touched[i]
-                .as_slice()
-                .expect("paged parameters require sparse touched sets");
-            pager.translate_sorted(touched);
-        }
-        let pager = self.pagers[i].as_ref().expect("parameter is paged");
-        (
-            &self.values[i],
-            &mut self.grads[i],
-            &pager.slot_scratch,
-            pager.row_of(),
-            pager.slot_of(),
-        )
+        let pager = self.pagers[i].as_mut().expect("parameter is paged");
+        let touched = self.touched[i]
+            .as_slice()
+            .expect("paged parameters require sparse touched sets");
+        pager.translate_sorted(touched);
+        (&mut self.grads[i], &pager.slot_scratch, pager.row_of())
     }
 }
 

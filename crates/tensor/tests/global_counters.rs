@@ -1,5 +1,4 @@
-//! Tests that assert on the process-global `tensor::memory` and
-//! `sparse::metrics` counters.
+//! Tests that assert on the process-global `tensor::memory` counters.
 //!
 //! Those counters are shared by every test in a binary, and the harness
 //! runs a binary's tests concurrently, so a sibling allocating tensors or
@@ -8,12 +7,11 @@
 //! body: while it runs, nothing else in the process touches the counters
 //! (the convention of `sptransx/tests/alloc_regression.rs`).
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
-use sparse::incidence::{hrt, IncidencePair, TailSign};
 use tensor::memory::{current_bytes, peak_bytes, reset_peak};
-use tensor::{Arena, Graph, ParamStore, RowScore, Tensor};
+use tensor::{Arena, Tensor};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -87,35 +85,6 @@ fn drop_releases_held_accounting() {
         assert!(current_bytes() >= before + 256);
     }
     assert_eq!(current_bytes(), before);
-}
-
-#[test]
-fn spmm_score_reports_fewer_bytes_than_materialized_pipeline() {
-    let _serial = serial();
-    let data = Tensor::from_rows(&[
-        [0.3, -0.2, 1.1, 0.5],
-        [1.5, 0.7, -0.6, -0.1],
-        [-0.4, 0.9, 0.2, 0.3],
-        [0.1, 0.2, -1.3, 0.8],
-    ]);
-    let pair = Arc::new(IncidencePair::new(
-        hrt(3, 1, &[0, 1], &[0, 0], &[2, 0], TailSign::Negative).unwrap(),
-    ));
-    let forward_bytes = |fused: bool| {
-        let mut store = ParamStore::new();
-        let p = store.add_param("emb", data.clone());
-        let mut g = Graph::new();
-        g.set_fused(fused);
-        let before = sparse::metrics::snapshot();
-        let _ = g.spmm_score(&store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
-        (sparse::metrics::snapshot() - before).bytes_touched
-    };
-    let fused = forward_bytes(true);
-    let unfused = forward_bytes(false);
-    assert!(
-        fused < unfused,
-        "fused forward must move fewer bytes ({fused} vs {unfused})"
-    );
 }
 
 fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {

@@ -258,8 +258,7 @@ pub fn cmd_train(args: &Args) -> Result<String, CliError> {
 /// Disk mode pages the embedding table to `{out}.pagefile` and keeps only
 /// `--cache-rows` rows pinned in RAM; it is restricted to the combinations
 /// whose hot path is slot-translation-aware (TransE/TorusE, SGD, sparse
-/// gradients, fused kernels) so paging can move bytes without ever touching
-/// arithmetic.
+/// gradients) so paging can move bytes without ever touching arithmetic.
 fn paged_store_from_args(
     args: &Args,
     model_name: &str,
@@ -288,11 +287,6 @@ fn paged_store_from_args(
                     "--store disk needs the sparse touched-row gradient path; \
                      drop --dense-grads true"
                         .into(),
-                ));
-            }
-            if !config.fused {
-                return Err(CliError::Usage(
-                    "--store disk needs the fused kernels; drop --fused false".into(),
                 ));
             }
             let cache_rows: usize = args.parse_or("cache-rows", 4096)?;
@@ -642,7 +636,7 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
         lr_schedule,
         optimizer,
         dense_grads: args.parse_or("dense-grads", false)?,
-        fused: args.parse_or("fused", true)?,
+        ..TrainConfig::default()
     })
 }
 
@@ -780,7 +774,7 @@ fn train_dispatch(
             });
             let summary = format!(
                 "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
-                 arm: {} gradients/renorm, {} kernels\n{}{}",
+                 arm: {} gradients/renorm\n{}{}",
                 KgeModel::name(m),
                 report.epoch_losses.len(),
                 report.epoch_losses.first().copied().unwrap_or(0.0),
@@ -793,7 +787,6 @@ fn train_dispatch(
                 } else {
                     "sparse touched-row"
                 },
-                if config.fused { "fused" } else { "unfused" },
                 kernel_table,
                 paged_report,
             );
@@ -846,7 +839,7 @@ fn train_dispatch_async(
             let summary = format!(
                 "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
                  arm: async hogwild ({} workers, nondeterministic), sparse touched-row \
-                 gradients/renorm, {} kernels\n{}",
+                 gradients/renorm\n{}",
                 KgeModel::name(&m),
                 report.epoch_losses.len(),
                 report.epoch_losses.first().copied().unwrap_or(0.0),
@@ -855,7 +848,6 @@ fn train_dispatch_async(
                 eval.hits(10).unwrap_or(0.0),
                 eval.mrr,
                 report.workers,
-                if config.fused { "fused" } else { "unfused" },
                 kernel_table,
             );
             Ok((summary, emb))
@@ -925,8 +917,8 @@ fn known_options(command: &str) -> Option<&'static str> {
         "generate" => "entities relations triples seed out",
         "train" => {
             "train model out store cache-rows async workers norm sampler optimizer \
-             lr-decay epochs batch-size dim rel-dim lr margin dense-grads fused \
-             seed valid-frac test-frac"
+             lr-decay epochs batch-size dim rel-dim lr margin dense-grads seed \
+             valid-frac test-frac"
         }
         "stats" => "train seed valid-frac test-frac",
         "serve" => {
@@ -991,7 +983,7 @@ USAGE:
                 [--epochs E] [--dim D] [--lr LR] [--margin M] [--norm l1|l2]
                 [--optimizer sgd|adagrad|adam] [--lr-decay STEP:GAMMA]
                 [--sampler uniform|bernoulli] [--dense-grads true|false]
-                [--fused true|false] [--store ram|disk] [--cache-rows N]
+                [--store ram|disk] [--cache-rows N]
                 [--async true] [--workers N] [--out embeddings.bin]
   sptx stats    --train FILE.tsv
   sptx serve    --emb FILE.bin --train FILE.tsv [--norm l1|l2] [--k K]
@@ -1006,10 +998,8 @@ Any subcommand also accepts --threads N (worker-pool size; results are
 bit-identical at any N, only wall-clock changes). --dense-grads true disables
 the touched-row sparse gradient AND epoch-renormalization paths (an ablation
 switch: training is bit-identical, each batch and epoch-end sweep just walks
-whole embedding tables). --fused false disables the fused gather+distance /
-margin-loss+backward-seed kernels (also bit-identical; the unfused tape
-materializes the chunk-by-dim intermediates). The train report names which
-arm ran and prints a per-kernel calls/bytes/flops counter table. --lr-decay
+whole embedding tables). The train report names which arm ran and prints a
+per-kernel calls/bytes/flops counter table. --lr-decay
 multiplies the learning rate by GAMMA every STEP epochs.
 
 --async true trains with the lock-free Hogwild arm: --workers N threads
@@ -1027,7 +1017,7 @@ cache (LRU, dirty rows written back on eviction and at epoch end). Paging
 moves bytes, never arithmetic — the run is bit-identical to --store ram —
 and the report's cache counters are cross-validated against a simcache LRU
 replay of the same row trace (any divergence prints a WARNING line).
-Requires --model transe|toruse with SGD, sparse gradients and fused kernels.
+Requires --model transe|toruse with SGD and sparse gradients.
 
 serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
 --norm must match training), answers top-K completion queries through an
@@ -1112,11 +1102,12 @@ mod tests {
         let msg = run(&train).unwrap();
         assert!(msg.contains("SpTransE"), "{msg}");
         assert!(
-            msg.contains("arm: sparse touched-row gradients/renorm, fused kernels"),
+            msg.contains("arm: sparse touched-row gradients/renorm\n"),
             "{msg}"
         );
         assert!(msg.contains("per-kernel counters"), "{msg}");
-        assert!(msg.contains("op::spmm_score"), "{msg}");
+        assert!(msg.contains("op::spmm_backward"), "{msg}");
+        assert!(msg.contains("op::l2_norm"), "{msg}");
         assert!(dir.join("emb.bin").exists());
     }
 
@@ -1167,11 +1158,7 @@ mod tests {
         assert_eq!(defaults.optimizer, OptimizerKind::Sgd);
         assert_eq!(defaults.lr_schedule, None);
         assert!(!defaults.dense_grads);
-        assert!(defaults.fused);
-
-        let unfused =
-            config_from_args(&parse_args(&strs(&["train", "--fused", "false"])).unwrap()).unwrap();
-        assert!(!unfused.fused);
+        defaults.validate().unwrap();
 
         let bad = parse_args(&strs(&["train", "--optimizer", "lbfgs"])).unwrap();
         assert!(matches!(config_from_args(&bad), Err(CliError::Usage(_))));
@@ -1296,7 +1283,6 @@ mod tests {
             &["--store", "disk", "--optimizer", "adam"][..],
             &["--store", "disk", "--model", "transr"],
             &["--store", "disk", "--dense-grads", "true"],
-            &["--store", "disk", "--fused", "false"],
             &["--store", "disk", "--cache-rows", "0"],
             &["--store", "tape"],
         ] {

